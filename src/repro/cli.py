@@ -353,16 +353,9 @@ def main_report(argv: list[str] | None = None) -> int:
 
     recorder = None
     if args.trace:
-        try:
-            from repro.obs import trace as obs_trace
-        except ImportError:
-            print(
-                "warning: repro.obs unavailable; running without --trace",
-                file=sys.stderr,
-            )
-            args.trace = False
-        else:
-            recorder = obs_trace.install(obs_trace.TraceRecorder())
+        from repro.obs import trace as obs_trace
+
+        recorder = obs_trace.install(obs_trace.TraceRecorder())
 
     journal = None
     completed = None

@@ -20,30 +20,11 @@ import numpy as np
 
 from repro.bgq.location import Location
 from repro.bgq.machine import MachineSpec
+from repro.obs.trace import span as trace_span
 from repro.stats import pearson, spearman
 from repro.table import Table
 from repro.table.column import factorize
 from repro.util.chunking import chunk_rows, iter_slices
-
-try:  # tracing is optional: without repro.obs the kernel runs untraced
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
 
 __all__ = [
     "event_midplanes",

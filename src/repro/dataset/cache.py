@@ -32,32 +32,10 @@ from typing import Mapping
 
 from repro.bgq.machine import MIRA, MachineSpec
 from repro.errors import ParseError
+from repro.obs.trace import add as trace_add
+from repro.obs.trace import span as trace_span
 from repro.table import Table, attach_arena, read_npz, write_npz
 from repro.table.arena import prune_stale_temps, write_arena
-
-try:  # tracing is optional: without repro.obs the cache runs untraced
-    from repro.obs.trace import add as trace_add
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
-    def trace_add(name, value=1):
-        return None
-
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -30,6 +30,8 @@ from repro.errors import (
     QuarantineOverflowError,
 )
 from repro.ingest import ParseReport
+from repro.obs.trace import add as trace_add
+from repro.obs.trace import span as trace_span
 from repro.ras import (
     RAS_SCHEMA,
     Incident,
@@ -57,30 +59,6 @@ from repro.tasks import (
 )
 
 from . import cache as _cache
-
-try:  # tracing is optional: without repro.obs the dataset runs untraced
-    from repro.obs.trace import add as trace_add
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
-    def trace_add(name, value=1):
-        return None
-
 
 __all__ = ["MiraDataset"]
 
@@ -511,30 +489,6 @@ class MiraDataset:
             # sources were clean, so the report is empty.
             ingestion=ParseReport() if lenient else None,
             **{attr: tables[attr] for attr in _LOG_FILES},
-        )
-
-    def pickle_probe(self) -> tuple:
-        """A cheap stand-in for probing picklability (O(columns), not O(rows)).
-
-        The experiment engine pickles the dataset once per worker and
-        needs to know *up front* whether that will work, without paying
-        for a full serialization.  Arena-backed tables already pickle as
-        tiny descriptors, so they go in whole; in-RAM tables are
-        represented by a small head slice, which still exercises every
-        column dtype.  The spec, incidents head, and ingestion report
-        ride along because those are the realistic failure sources.
-        """
-        tables = {
-            name: table if table._arena is not None else table.head(4)
-            for name, table in self._tables().items()
-        }
-        return (
-            self.spec,
-            self.n_days,
-            self.seed,
-            tables,
-            self.incidents[:4],
-            self.ingestion,
         )
 
     def save(self, directory: str | Path) -> None:

@@ -1,8 +1,8 @@
 """Supervised parallel experiment engine.
 
 Runs a set of independent experiments against one dataset, optionally
-across a :class:`~concurrent.futures.ProcessPoolExecutor`, while
-preserving two invariants the report renderer depends on:
+across supervised worker processes, while preserving two invariants
+the report renderer depends on:
 
 - **Deterministic ordering** — outcomes come back in the exact order
   the experiment IDs were requested, regardless of which worker
@@ -11,27 +11,29 @@ preserving two invariants the report renderer depends on:
   outcome (``skipped`` for expected data-starvation errors, ``error``
   for everything else), never an aborted suite.
 
-On top of those, :func:`run_suite` supervises the pool the way a batch
-scheduler supervises jobs:
+With ``jobs > 1``, :func:`run_suite` drives ``jobs`` forked workers,
+each a :class:`repro.util.workers.WorkerSlot` — the same supervisor
+that runs ``repro-serve``'s query workers — from its one thread, and
+supervises them the way a batch scheduler supervises jobs:
 
 - a per-experiment **timeout** is enforced inside the worker via
   ``SIGALRM`` (an experiment that exceeds it becomes an ``error``
-  outcome), with a supervisor-side stall detector as backstop: when no
-  experiment completes for roughly twice the timeout, the wedged
-  workers are killed and their experiments re-dispatched;
-- a **worker death** (``BrokenProcessPool``) re-dispatches *only the
-  experiments without a recorded outcome* to a fresh pool, with
-  bounded retries and exponential backoff — completed work is never
-  discarded and never re-run.  Retries run isolated (one pool per
-  experiment) so a repeat offender cannot take healthy experiments
-  down with it, and a pool that breaks because the dataset cannot be
-  pickled across the process boundary falls back to the in-process
-  sequential path instead;
+  outcome), with a supervisor-side stall bound as backstop: a worker
+  silent for ``timeout + SUPERVISOR_GRACE_S`` after its dispatch is
+  killed and replaced;
+- a **worker death** or stall loses only the one experiment that
+  worker was running.  That experiment is re-dispatched, up to
+  ``1 + retries`` attempts, after an exponential backoff that delays
+  it alone; every other experiment runs on undisturbed, and completed
+  work is never discarded and never re-run;
+- **no orphans** — every worker dies with the supervisor, whatever
+  signal killed it, and every worker is joined before
+  :func:`run_suite` returns;
 - **graceful shutdown** — ``KeyboardInterrupt`` (SIGINT, or SIGTERM
-  mapped to it by the CLI) kills outstanding workers, keeps every
-  outcome already collected, and returns a partial
-  :class:`SuiteResult` with ``interrupted=True`` so the caller can
-  journal it and offer a resume;
+  mapped to it by the CLI) kills every worker, keeps every outcome
+  already collected, and returns a partial :class:`SuiteResult` with
+  ``interrupted=True`` so the caller can journal it and offer a
+  resume;
 - **crash-safe journaling** — every freshly computed outcome is pushed
   through the ``on_outcome`` callback the moment it is collected, and
   ``completed`` outcomes replayed from a journal are returned verbatim
@@ -45,50 +47,26 @@ benchmark harness and CI consume.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import resource
 import sys
 import time
-from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import FaultError, ReproError
+from repro.obs import trace as _obs
 from repro.util.atomic import atomic_write_text
 from repro.util.deadline import DeadlineExceeded, deadline
+from repro.util.workers import WorkerSlot
 
 from .base import ExperimentResult
-
-try:  # tracing is optional: without repro.obs the suite runs untraced
-    from repro.obs import trace as _obs
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-    _obs = None
-
-
-class _SpanOff:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-    def note(self, **attrs):
-        return None
-
-
-_SPAN_OFF = _SpanOff()
-
-
-def _trace_span(name, **attrs):
-    if _obs is None:
-        return _SPAN_OFF
-    return _obs.span(name, **attrs)
-
 
 __all__ = [
     "ExperimentOutcome",
@@ -112,15 +90,16 @@ class ExperimentOutcome:
     ``max_rss_kb`` is a peak resident set from ``getrusage``,
     normalized to KiB on every platform (Linux reports KiB natively,
     macOS reports bytes).  ``rss_scope`` says what that peak covers:
-    ``"worker"`` — the pool worker process that ran this experiment —
-    or ``"process"`` — the whole supervisor, when the experiment ran
-    in-process (``jobs=1`` or the unpicklable-dataset fallback), where
-    the number is a shared monotonic high-water mark, *not* this
-    experiment's own footprint.  ``attempt`` is the dispatch number
-    that produced this outcome (``2`` means the first worker died and
-    the retry succeeded).  ``spans`` carries trace spans recorded in
-    the worker when the suite ran with tracing on; the supervisor
-    merges them into the active recorder and they are never journaled.
+    ``"worker"`` — the worker process that ran this experiment — or
+    ``"process"`` — the whole supervisor, when the experiment ran
+    in-process (``jobs=1``), where the number is a shared monotonic
+    high-water mark, *not* this experiment's own footprint.
+    ``attempt`` is the dispatch number that produced this outcome
+    (``2`` means the first worker died and the retry succeeded).
+    ``spans`` and ``counters`` (``(name, value)`` pairs) carry what
+    the worker's recorder captured when the suite ran with tracing
+    on; the supervisor merges them into the active recorder and they
+    are never journaled.
     """
 
     experiment_id: str
@@ -132,6 +111,7 @@ class ExperimentOutcome:
     attempt: int = 1
     rss_scope: str = "worker"
     spans: tuple = ()
+    counters: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -159,16 +139,6 @@ class SuiteResult:
             raise KeyError(f"no outcome for {experiment_id!r}") from None
 
 
-# Dataset shared with pool workers via the initializer, so it is pickled
-# once per worker instead of once per submitted experiment.
-_WORKER_DATASET = None
-
-
-def _init_worker(dataset) -> None:
-    global _WORKER_DATASET
-    _WORKER_DATASET = dataset
-
-
 def _peak_rss_kb() -> int:
     """Peak resident set of this process in KiB, on every platform.
 
@@ -184,31 +154,28 @@ def _peak_rss_kb() -> int:
 
 def _run_one(
     experiment_id: str,
-    dataset=None,
+    dataset,
     timeout: float | None = None,
     attempt: int = 1,
     trace: bool = False,
+    in_worker: bool = False,
 ) -> ExperimentOutcome:
     """Run one experiment with isolation, timing, and RSS accounting.
 
-    ``dataset=None`` means "running inside a pool worker" (the dataset
-    arrives via the initializer); that distinction also fixes the RSS
-    scope — a worker's ``ru_maxrss`` is (approximately) this
-    experiment's own peak, while in-process it is the whole
-    supervisor's shared high-water mark and is labelled as such.  With
-    ``trace=True`` in a worker, a process-local recorder captures the
-    experiment's spans and ships them back on the outcome; in-process,
-    spans flow straight into the supervisor's active recorder.
+    ``in_worker`` fixes the RSS scope — a worker's ``ru_maxrss`` is
+    (approximately) this experiment's own peak, while in-process it is
+    the whole supervisor's shared high-water mark and is labelled as
+    such.  With ``trace=True`` in a worker, a process-local recorder
+    captures the experiment's spans and counters and ships them back
+    on the outcome; in-process, they flow straight into the
+    supervisor's active recorder.
     """
     from repro.experiments import run_experiment
     from repro.faults.plan import apply_process_faults
 
-    in_process = dataset is not None
-    if dataset is None:
-        dataset = _WORKER_DATASET
     recorder = None
-    if trace and _obs is not None:
-        if not in_process:
+    if trace:
+        if in_worker:
             # Always start fresh in a worker: under the fork start
             # method the child inherits the supervisor's recorder, and
             # spans added to that copy would be silently discarded.
@@ -218,7 +185,7 @@ def _run_one(
     started = time.perf_counter()
     try:
         with deadline(timeout):
-            with _trace_span("experiment", id=experiment_id, attempt=attempt):
+            with _obs.span("experiment", id=experiment_id, attempt=attempt):
                 # Deterministic chaos (kill/hang/slow) fires here, inside
                 # the timeout window, so drills exercise the same
                 # supervision paths real failures would.
@@ -239,9 +206,11 @@ def _run_one(
     except Exception as error:  # noqa: BLE001 - isolate experiment crashes
         result, status, message = None, "error", repr(error)
     spans: tuple = ()
+    counters: tuple = ()
     if recorder is not None:
         _obs.uninstall()
         spans = tuple(recorder.spans)
+        counters = tuple(recorder.counters.items())
     return ExperimentOutcome(
         experiment_id=experiment_id,
         status=status,
@@ -250,113 +219,21 @@ def _run_one(
         seconds=time.perf_counter() - started,
         max_rss_kb=_peak_rss_kb(),
         attempt=attempt,
-        rss_scope="process" if in_process else "worker",
+        rss_scope="worker" if in_worker else "process",
         spans=spans,
+        counters=counters,
     )
 
 
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly end a pool's worker processes (stall/interrupt path)."""
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.kill()
-        except OSError:
-            pass
+def _run_in_worker(job: tuple, dataset) -> ExperimentOutcome:
+    """The experiment workers' :class:`WorkerSlot` handler."""
+    experiment_id, timeout, attempt, trace = job
+    return _run_one(
+        experiment_id, dataset, timeout, attempt, trace, in_worker=True
+    )
 
 
-def _drain(futures, timeout: float | None, record) -> str:
-    """Collect outcomes as futures finish; returns how the round ended.
-
-    ``"ok"`` — every future resolved; ``"broken"`` — a worker died
-    (results collected up to that point are kept); ``"stalled"`` — no
-    future completed within the grace window (only possible with a
-    timeout set), meaning a worker is wedged beyond what the in-worker
-    alarm can interrupt.
-    """
-    grace = None if timeout is None else timeout * 2.0 + 1.0
-    not_done = set(futures)
-    broken = False
-    while not_done:
-        done, not_done = wait(not_done, timeout=grace, return_when=FIRST_COMPLETED)
-        if not done:
-            return "stalled"
-        for future in done:
-            try:
-                record(future.result())
-            except BrokenProcessPool:
-                broken = True
-        if broken:
-            return "broken"
-    return "ok"
-
-
-def _dispatch_round(
-    dataset,
-    ids: list[str],
-    jobs: int,
-    timeout: float | None,
-    attempts: Mapping[str, int],
-    record: Callable[[ExperimentOutcome], None],
-    trace: bool = False,
-) -> None:
-    """Submit ``ids`` to one fresh pool and drain it.
-
-    A broken or stalled pool ends the round early with its workers
-    killed; whatever completed first is already recorded.
-    """
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(ids)),
-            initializer=_init_worker,
-            initargs=(dataset,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_one, eid, None, timeout, attempts[eid], trace)
-                for eid in ids
-            ]
-            try:
-                ended = _drain(futures, timeout, record)
-            except KeyboardInterrupt:
-                # Don't let pool.__exit__ wait on running workers;
-                # in-flight experiments are simply re-run on resume.
-                _kill_pool_workers(pool)
-                raise
-            if ended == "stalled":
-                _kill_pool_workers(pool)
-    except BrokenProcessPool:
-        pass
-
-
-class _NullWriter:
-    """A write-only sink: lets ``pickle.dump`` run without buffering the
-    stream, so probing picklability costs no memory."""
-
-    def write(self, data) -> int:
-        return len(data)
-
-
-def _can_pickle(obj) -> bool:
-    """Whether ``obj`` can cross the process boundary.
-
-    Objects exposing ``pickle_probe()`` (:class:`MiraDataset` does) are
-    probed through that cheap surrogate instead of being serialized
-    whole — the probe carries every pickling hazard (spec, reports,
-    column dtypes, table descriptors) at O(columns) cost, which matters
-    because this check runs on the failure path where the full dataset
-    may be gigabytes.  Either way the stream goes to a null sink, never
-    into a bytes object.
-    """
-    import pickle
-
-    probe = getattr(obj, "pickle_probe", None)
-    try:
-        pickle.dump(probe() if callable(probe) else obj, _NullWriter())
-    except Exception:  # noqa: BLE001 - any failure means "cannot cross"
-        return False
-    return True
-
-
-def _run_supervised(
+def _run_on_slots(
     dataset,
     pending: list[str],
     *,
@@ -365,84 +242,90 @@ def _run_supervised(
     retries: int,
     backoff: float,
     record: Callable[[ExperimentOutcome], None],
-    recorded: Callable[[str], bool],
     trace: bool = False,
 ) -> None:
-    """Dispatch ``pending`` across pools until done or retries exhaust.
+    """Run ``pending`` on ``jobs`` worker slots until every one has an
+    outcome.
 
-    Each round submits every still-unfinished experiment to a fresh
-    pool.  A broken or stalled round loses only the experiments without
-    a recorded outcome; those are re-dispatched (up to ``1 + retries``
-    total attempts each, sleeping ``backoff * 2**(round-1)`` between
-    rounds) while completed outcomes are kept.  Retry rounds run each
-    survivor in its *own* single-worker pool so a poison experiment
-    that keeps killing its process cannot take other experiments'
-    in-flight work down with it again.  An experiment whose every
-    attempt died is recorded as an ``error`` outcome, and a pool that
-    breaks because the dataset cannot cross the process boundary at
-    all (nothing ever completed *and* the dataset does not pickle)
-    falls back to the in-process sequential path.
+    Each idle slot takes the next ready experiment.  A worker that dies
+    or stalls (silent for ``timeout + SUPERVISOR_GRACE_S``) loses only
+    the experiment it was running: the slot replaces its worker, and
+    the experiment becomes ready again after ``backoff *
+    2**(attempt-1)`` seconds, up to ``1 + retries`` attempts in all,
+    after which it is recorded as an ``error`` outcome.  Every slot is
+    killed on ``KeyboardInterrupt`` and closed and joined on the way
+    out.
     """
     attempts = dict.fromkeys(pending, 0)
-    ever_recorded = False
-    isolate = False
-    round_index = 0
-    while pending:
-        round_index += 1
-        for experiment_id in pending:
-            attempts[experiment_id] += 1
-        if isolate:
-            for experiment_id in pending:
-                _dispatch_round(
-                    dataset, [experiment_id], 1, timeout, attempts, record,
-                    trace,
-                )
-        else:
-            _dispatch_round(
-                dataset, pending, jobs, timeout, attempts, record, trace
-            )
-        survivors = [eid for eid in pending if not recorded(eid)]
-        if not survivors:
-            return
-        # Survivors mean a worker died or stalled mid-round: from here
-        # on, never let one experiment's process share a pool with
-        # another's retry.
-        isolate = True
-        ever_recorded = ever_recorded or len(survivors) < len(pending)
-        if not ever_recorded and not _can_pickle(dataset):
-            # Nothing has ever come back from a worker and the dataset
-            # cannot cross the process boundary: the pool itself is
-            # unusable.  Run the remainder in-process.
-            for experiment_id in survivors:
-                record(
-                    _run_one(
-                        experiment_id, dataset, timeout,
-                        attempts[experiment_id], trace,
+    ready = deque(pending)
+    backing_off: list[tuple[float, str]] = []  # heap of (ready_at, id)
+    slots: list[WorkerSlot] = []
+    running: dict[WorkerSlot, str] = {}
+    try:
+        for _ in range(jobs):
+            slots.append(WorkerSlot(dataset, _run_in_worker))
+        while ready or backing_off or running:
+            now = time.monotonic()
+            while backing_off and backing_off[0][0] <= now:
+                ready.append(heapq.heappop(backing_off)[1])
+            for slot in slots:
+                if ready and slot not in running:
+                    experiment_id = ready.popleft()
+                    attempts[experiment_id] += 1
+                    slot.submit(
+                        (experiment_id, timeout, attempts[experiment_id], trace)
                     )
-                )
-            return
-        still_pending = []
-        for experiment_id in survivors:
-            if attempts[experiment_id] >= 1 + retries:
-                record(
-                    ExperimentOutcome(
-                        experiment_id=experiment_id,
-                        status="error",
-                        result=None,
-                        message=(
-                            "worker lost (process died or hung) after "
-                            f"{attempts[experiment_id]} attempt(s)"
-                        ),
-                        seconds=0.0,
-                        max_rss_kb=0,
-                        attempt=attempts[experiment_id],
+                    running[slot] = experiment_id
+            wake = [at for at, _ in backing_off[:1]]
+            if timeout is not None:
+                wake += [slot.stall_at(timeout) for slot in running]
+            wait_s = max(min(wake) - now, 0.0) if wake else None
+            conns = [slot.connection for slot in running]
+            if None in conns:
+                wait_s = 0.0
+            readable = wait([c for c in conns if c is not None], wait_s)
+            now = time.monotonic()
+            for slot in list(running):
+                if not (
+                    slot.connection is None
+                    or slot.connection in readable
+                    or (timeout is not None and now >= slot.stall_at(timeout))
+                ):
+                    continue
+                experiment_id = running.pop(slot)
+                verdict = slot.collect(timeout)
+                attempt = attempts[experiment_id]
+                if verdict.kind == "done":
+                    record(verdict.payload)
+                elif attempt < 1 + retries:
+                    heapq.heappush(
+                        backing_off,
+                        (time.monotonic() + backoff * 2 ** (attempt - 1),
+                         experiment_id),
                     )
-                )
-            else:
-                still_pending.append(experiment_id)
-        pending = still_pending
-        if pending:
-            time.sleep(backoff * 2 ** (round_index - 1))
+                else:
+                    record(
+                        ExperimentOutcome(
+                            experiment_id=experiment_id,
+                            status="error",
+                            result=None,
+                            message=(
+                                "worker lost (process died or hung) after "
+                                f"{attempt} attempt(s)"
+                            ),
+                            seconds=0.0,
+                            max_rss_kb=0,
+                            attempt=attempt,
+                        )
+                    )
+    except KeyboardInterrupt:
+        # In-flight experiments are simply re-run on resume.
+        for slot in slots:
+            slot.kill()
+        raise
+    finally:
+        for slot in slots:
+            slot.close()
 
 
 def run_suite(
@@ -463,15 +346,14 @@ def run_suite(
     everything in-process.  The worker count never exceeds the number
     of experiments.  ``timeout`` bounds each experiment's wall time
     (``None`` = unlimited); ``retries``/``backoff`` govern re-dispatch
-    after worker deaths (see :func:`_run_supervised`).  ``completed``
+    after worker deaths (see :func:`_run_on_slots`).  ``completed``
     supplies already-journaled outcomes to replay instead of re-running
     (the ``--resume`` path), and ``on_outcome`` is invoked once per
     *freshly computed* outcome, in completion order, so a journal can
     be flushed as the suite progresses.  ``trace`` asks workers to
-    record per-experiment spans; the supervisor merges shipped spans
-    into its active :mod:`repro.obs` recorder as outcomes arrive (a
-    no-op when the obs package is unavailable or no recorder is
-    installed).
+    record per-experiment spans and counters; the supervisor merges
+    what they ship into its active :mod:`repro.obs` recorder as
+    outcomes arrive (a no-op when no recorder is installed).
 
     Raises
     ------
@@ -506,10 +388,10 @@ def run_suite(
         if outcome.experiment_id in done:
             return
         done[outcome.experiment_id] = outcome
-        if outcome.spans and _obs is not None:
+        if outcome.spans or outcome.counters:
             recorder = _obs.active()
             if recorder is not None:
-                recorder.absorb(outcome.spans)
+                recorder.absorb(outcome.spans, dict(outcome.counters))
         if on_outcome is not None:
             on_outcome(outcome)
 
@@ -521,15 +403,14 @@ def run_suite(
             for experiment_id in pending:
                 record(_run_one(experiment_id, dataset, timeout, trace=trace))
         elif pending:
-            _run_supervised(
+            _run_on_slots(
                 dataset,
                 pending,
-                jobs=jobs,
+                jobs=min(jobs, len(pending)),
                 timeout=timeout,
                 retries=retries,
                 backoff=backoff,
                 record=record,
-                recorded=done.__contains__,
                 trace=trace,
             )
     except KeyboardInterrupt:
@@ -569,7 +450,7 @@ def profile_lines(
     """Per-experiment cProfile hotspots, top-``top`` by cumulative time.
 
     Runs each experiment in-process under ``cProfile`` (profiling and
-    worker pools don't mix) and returns a readable block per experiment
+    worker processes don't mix) and returns a readable block per experiment
     — the starting point for the next round of kernel optimization.
     Expected data-starvation errors are reported, not raised, mirroring
     :func:`run_suite`'s isolation.

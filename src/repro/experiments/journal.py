@@ -193,7 +193,7 @@ def outcome_to_record(outcome: ExperimentOutcome) -> dict:
     """Serialize one outcome as a journal record.
 
     ``rss_scope`` is journaled only when it is not the default
-    ``"worker"`` — worker-pool journals keep their pre-scope byte
+    ``"worker"`` — worker journals keep their pre-scope byte
     layout, and trace spans are never journaled at all (they belong to
     ``trace.jsonl``).
     """

@@ -263,16 +263,16 @@ def drop_tasks(
 # wedged in an uninterruptible call, and an experiment that is merely
 # far slower than budgeted.  They are armed per experiment through a
 # :class:`~repro.faults.plan.ProcessFaultPlan` (usually via the
-# ``REPRO_PROCESS_FAULTS`` environment variable, which crosses into
-# pool workers), and are fully deterministic: the same plan kills the
+# ``REPRO_PROCESS_FAULTS`` environment variable, which forked
+# workers inherit), and are fully deterministic: the same plan kills the
 # same experiment on the same attempt every run.
 
 
 def kill_worker_action() -> None:
-    """Die instantly (SIGKILL self), like an OOM-killed pool worker.
+    """Die instantly (SIGKILL self), like an OOM-killed worker.
 
-    No Python cleanup runs — the supervising engine sees a broken pool
-    exactly as it would for a real worker death.
+    No Python cleanup runs — the supervisor sees its worker's pipe hit
+    EOF exactly as it would for a real worker death.
     """
     os.kill(os.getpid(), signal.SIGKILL)
 

@@ -13,7 +13,7 @@ process running a named experiment, so every supervision path in
 :mod:`repro.experiments.engine` (worker-death re-dispatch, in-worker
 timeout, supervisor stall recovery) is drivable from a test or from
 the ``repro-chaos`` CLI.  Plans travel through the
-``REPRO_PROCESS_FAULTS`` environment variable, which pool workers
+``REPRO_PROCESS_FAULTS`` environment variable, which forked workers
 inherit, encoded as semicolon-separated clauses::
 
     kill_worker:e03        # SIGKILL the process running e03 (attempt 1)
@@ -125,7 +125,7 @@ def inject_faults(
 
 PROCESS_FAULT_ENV = "REPRO_PROCESS_FAULTS"
 """Environment variable carrying the active process-fault spec into
-the experiment engine and its pool workers."""
+the experiment engine and its workers."""
 
 _DEFAULT_HANG_SECONDS = 3600.0
 _DEFAULT_SLOW_SECONDS = 1.0
@@ -251,7 +251,7 @@ def process_faults(spec: str) -> Iterator[ProcessFaultPlan]:
     """Arm a process-fault spec for the duration of a ``with`` block.
 
     Validates the spec eagerly, exports it through
-    ``REPRO_PROCESS_FAULTS`` (so freshly spawned pool workers inherit
+    ``REPRO_PROCESS_FAULTS`` (so freshly forked workers inherit
     it), and restores the previous value on exit.
     """
     plan = ProcessFaultPlan.parse(spec)

@@ -7,10 +7,8 @@ carries named spans and counters that cost a single attribute check
 when no recorder is installed, and stream into a per-run
 ``trace.jsonl`` when one is (``repro-report --trace``).
 
-The package is dependency-free and *optional*: every instrumented
-module imports it behind a ``try/except ImportError`` with inline
-no-op fallbacks, so deleting ``repro/obs/`` entirely leaves the
-toolkit's output byte-identical.
+The package is stdlib-only, so every instrumented module imports it
+directly; with no recorder installed a span is a shared no-op.
 
 - :mod:`repro.obs.trace` — the recorder, ``span()`` context managers,
   counters and gauges.

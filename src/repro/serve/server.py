@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import __version__
 from repro.errors import FaultError
 from repro.faults.plan import ProcessFaultPlan
+from repro.obs import trace as _obs
 from repro.util.deadline import Deadline
 
 from .admission import AdmissionQueue, Ticket
@@ -50,11 +51,6 @@ from .breaker import BreakerBoard
 from .protocol import ProtocolError, ServeRequest, ServeResponse
 from .resultcache import CACHEABLE_OUTCOMES, ResultCache, result_key
 from .workers import FORK_LOCK, SUPERVISOR_GRACE_S, WorkerSlot, WorkerVerdict
-
-try:  # tracing is optional: without repro.obs the server runs untraced
-    from repro.obs import trace as _obs
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-    _obs = None
 
 __all__ = ["ReproServer", "ServeConfig"]
 
@@ -131,8 +127,6 @@ class _ServeTrace:
             self._counters[name] = self._counters.get(name, 0) + value
 
     def write(self, path, run_id: str | None):
-        if _obs is None:  # pragma: no cover - obs-less install
-            return None
         recorder = _obs.TraceRecorder()
         with self._lock:
             recorder.absorb(list(self._spans), dict(self._counters))
@@ -220,7 +214,12 @@ class ReproServer:
             self._trace.incr(f"serve.cache.{name}", value)
 
     def start(self) -> tuple[str, int]:
-        """Spawn workers + dispatchers, bind HTTP; returns (host, port)."""
+        """Spawn workers + dispatchers, bind HTTP; returns (host, port).
+
+        The first workers die when the calling thread exits (see
+        :mod:`repro.util.workers`), so call this from a thread that
+        outlives the server, such as the main thread.
+        """
         self._started_at = time.monotonic()
         if self.cache is not None and self.cache.directory is not None:
             # Entries keyed by another fingerprint or toolkit version
@@ -589,13 +588,20 @@ class ReproServer:
         return response
 
     def _dispatch_loop(self, slot: WorkerSlot) -> None:
-        while True:
-            ticket = self.queue.take(timeout=0.1)
-            if ticket is None:
-                if self._stop_dispatch.is_set():
-                    return
-                continue
-            self._run_ticket(slot, ticket)
+        # A worker this thread forks (a replacement or rebind) is
+        # SIGKILLed by the kernel when the thread exits, so the thread
+        # closes its slot on the way out rather than leave that to
+        # the shutdown path.
+        try:
+            while True:
+                ticket = self.queue.take(timeout=0.1)
+                if ticket is None:
+                    if self._stop_dispatch.is_set():
+                        return
+                    continue
+                self._run_ticket(slot, ticket)
+        finally:
+            slot.close()
 
     def _foldable(self, ticket: Ticket) -> bool:
         """May ``ticket`` join a folded batch dispatch?

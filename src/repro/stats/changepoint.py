@@ -20,24 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # tracing is optional: without repro.obs the kernel runs untraced
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
+from repro.obs.trace import span as trace_span
 
 
 __all__ = ["Changepoint", "cusum_statistic", "detect_changepoints"]

@@ -46,6 +46,7 @@ from pathlib import Path
 from repro.darshan.records import IO_SCHEMA
 from repro.errors import CheckpointError, QuarantineOverflowError
 from repro.ingest import ParseReport
+from repro.obs.trace import span as trace_span
 from repro.dataset.mira import SECONDS_PER_DAY
 from repro.ras.events import RAS_SCHEMA
 from repro.scheduler.jobs import JOB_SCHEMA
@@ -68,26 +69,6 @@ from repro.stream.tailer import FileTailer
 from repro.stream.watermark import WatermarkBuffer
 from repro.table import Table
 from repro.tasks.runjob import TASK_SCHEMA
-
-try:  # tracing is optional: without repro.obs the pipeline runs untraced
-    from repro.obs.trace import span as trace_span
-except ImportError:  # pragma: no cover - exercised by the obs-less drill
-
-    class _SpanOff:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            return False
-
-        def note(self, **attrs):
-            return None
-
-    _SPAN_OFF = _SpanOff()
-
-    def trace_span(name, **attrs):
-        return _SPAN_OFF
-
 
 __all__ = ["StreamPipeline", "SOURCE_ORDER"]
 

@@ -30,7 +30,7 @@ distinct value, never a copy of the pool per row.
 Attachment is cached per process and keyed by ``(realpath,
 fingerprint)``: :meth:`repro.table.frame.Table.__reduce__` on an
 arena-backed table pickles the descriptor, not the bytes, so shipping
-a dataset to a pool or serve worker costs a few hundred bytes
+a dataset to a worker costs a few hundred bytes
 regardless of trace size.
 """
 

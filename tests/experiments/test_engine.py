@@ -238,37 +238,35 @@ class TestTimingsAndBench:
         assert all(e["status"] == "ok" for e in loaded["experiments"])
 
 
-class TestPickleProbe:
-    """_can_pickle must be O(1): it probes ``pickle_probe()`` when the
-    object offers one instead of serializing the full dataset."""
+@pytest.fixture()
+def counting_experiment():
+    """Temporarily register an experiment that bumps a trace counter."""
+    from repro.obs import trace
 
-    def test_dataset_probe_is_tiny(self, dataset):
-        import pickle
+    @register("zz_count", "bumps a counter")
+    def _run(dataset):
+        trace.add("zz.worker_counter", 3)
+        raise ValueError("counted, nothing to report")
 
-        probe = dataset.pickle_probe()
-        assert len(pickle.dumps(probe)) < 64 * 1024
-        assert len(pickle.dumps(probe)) < len(pickle.dumps(dataset)) / 4
+    yield "zz_count"
+    _REGISTRY.pop("zz_count")
 
-    def test_can_pickle_accepts_dataset(self, dataset):
-        from repro.experiments.engine import _can_pickle
 
-        assert _can_pickle(dataset)
-        assert _can_pickle({"plain": [1, 2, 3]})
+class TestWorkerTrace:
+    def test_worker_spans_and_counters_reach_the_supervisor(
+        self, dataset, counting_experiment
+    ):
+        from repro.obs import trace
 
-    def test_can_pickle_rejects_unpicklable(self):
-        from repro.experiments.engine import _can_pickle
-
-        assert not _can_pickle(lambda: None)
-
-        class Liar:
-            def pickle_probe(self):
-                return lambda: None  # probe itself unpicklable
-
-        assert not _can_pickle(Liar())
-
-    def test_null_writer_consumes_without_buffering(self):
-        from repro.experiments.engine import _NullWriter
-
-        writer = _NullWriter()
-        assert writer.write(b"xyz") == 3
-        assert not hasattr(writer, "getvalue")
+        with trace.recording() as recorder:
+            suite = run_suite(
+                dataset, ["e01", counting_experiment], jobs=2, trace=True
+            )
+        assert suite.outcome(counting_experiment).rss_scope == "worker"
+        assert recorder.counters.get("zz.worker_counter") == 3
+        experiments = {
+            span["attrs"]["id"]
+            for span in recorder.spans
+            if span["name"] == "experiment"
+        }
+        assert experiments == {"e01", counting_experiment}

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main_report
 from repro.faults import PROCESS_FAULT_ENV
+from tests.proctree import descendants, survivors
 
 IDS = ["e01", "e02", "e03", "e05"]
 DAYS, SEED = "4", "9"
@@ -74,14 +75,19 @@ class TestKillResume:
         )
         journal_path = runs_root / "drill" / "journal.jsonl"
         deadline = time.monotonic() + 120.0
+        workers: set = set()
         try:
             while _count_outcomes(journal_path) < len(IDS) - 1:
                 assert child.poll() is None, "drill run exited before the kill"
                 assert time.monotonic() < deadline, "drill never journaled outcomes"
                 time.sleep(0.1)
+            if sys.platform.startswith("linux"):
+                workers = descendants(child.pid)
         finally:
             child.kill()
             child.wait()
+        # No worker outlives the SIGKILLed supervisor.
+        assert survivors(workers, within_s=5.0) == set()
 
         journaled_before = _count_outcomes(journal_path)
         assert journaled_before == len(IDS) - 1

@@ -67,6 +67,7 @@ class TestCliReportJournal:
         assert rc == 0
         run_dir = tmp_path / "runs" / "r1"
         assert (run_dir / "journal.jsonl").exists()
+        assert not (run_dir / "trace.jsonl").exists()  # no --trace
         report = (run_dir / "report.txt").read_text()
         assert report == capsys.readouterr().out
 
