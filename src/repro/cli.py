@@ -15,7 +15,7 @@ dirty directory through the quarantining ingestion path instead of
 failing on the first bad record.
 
 Dataset loads and parameter-free syntheses are served from the
-columnar ``.npz`` cache (:mod:`repro.dataset.cache`); ``--no-cache``
+columnar arena cache (:mod:`repro.dataset.cache`); ``--no-cache``
 bypasses it and ``--refresh-cache`` rebuilds the entry.
 ``repro-report`` additionally fans the experiment suite out across
 ``--jobs`` worker processes under crash-safe supervision: every run

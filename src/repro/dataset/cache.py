@@ -2,8 +2,8 @@
 
 Parsing the four CSV logs (plus validation) dominates ``repro-report``
 wall time; synthesis dominates when no dataset directory is given.
-This module caches the fully-assembled dataset as a compressed ``.npz``
-bundle (see :mod:`repro.table.npzio`) keyed by a *fingerprint*:
+This module caches the fully-assembled dataset as one columnar arena
+file (see :mod:`repro.table.arena`) keyed by a *fingerprint*:
 
 - **Directory loads** — SHA-256 over the dataset schema version, the
   toolkit version, and every source file's name, size, and content
@@ -17,6 +17,9 @@ bundle (see :mod:`repro.table.npzio`) keyed by a *fingerprint*:
 
 Entries live in ``<dataset_dir>/.repro-cache/`` for directory loads and
 in ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) for syntheses.
+The access mode decides only how a hit is handed back: ``ram`` copies
+every column into plain arrays (:func:`load_cached_bundle`), ``mmap``
+attaches shared read-only views (:func:`load_arena`).
 Storing is best-effort — a read-only filesystem degrades to uncached
 operation, never to an error — and lenient loads that quarantined or
 degraded anything are **never** stored, so a damaged dataset cannot
@@ -30,12 +33,13 @@ import os
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from repro.bgq.machine import MIRA, MachineSpec
 from repro.errors import ParseError
 from repro.obs.trace import add as trace_add
 from repro.obs.trace import span as trace_span
-from repro.table import Table, attach_arena, read_npz, write_npz
-from repro.table.arena import prune_stale_temps, write_arena
+from repro.table import Table, attach_arena, read_arena, write_arena
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -43,19 +47,16 @@ __all__ = [
     "fingerprint_directory",
     "fingerprint_synthesis",
     "fingerprint_for_run",
-    "dataset_cache_path",
-    "synthesis_cache_path",
     "dataset_arena_path",
     "synthesis_arena_path",
     "load_cached_bundle",
-    "store_bundle",
     "load_arena",
     "store_arena",
 ]
 
-#: Bump whenever the dataset schemas or the cached-bundle layout change;
+#: Bump whenever the dataset schemas or the cached-entry layout change;
 #: old entries then miss on fingerprint and are pruned on the next store.
-#: v2: bundle meta carries the trace backend name.
+#: v2: entry meta carries the trace backend name.
 SCHEMA_VERSION = 2
 
 #: Files that participate in a dataset directory's fingerprint (the
@@ -164,50 +165,56 @@ def fingerprint_for_run(
     return fingerprint_synthesis(spec, n_days, seed, scale, backend)
 
 
-def dataset_cache_path(directory: str | Path, fingerprint: str) -> Path:
-    """Where a directory load's cache entry lives."""
-    return Path(directory) / _CACHE_SUBDIR / f"dataset-{fingerprint[:32]}.npz"
-
-
-def synthesis_cache_path(fingerprint: str) -> Path:
-    """Where a synthesis cache entry lives."""
-    return default_cache_dir() / f"synth-{fingerprint[:32]}.npz"
-
-
 def dataset_arena_path(directory: str | Path, fingerprint: str) -> Path:
-    """Where a directory load's memory-mapped arena lives.
-
-    Kept beside the ``.npz`` entry under the same content fingerprint:
-    the ``.npz`` is the portable/cold format, the arena the hot
-    zero-copy one materialized from it on first ``mode="mmap"`` use.
-    """
+    """Where a directory load's cache entry lives."""
     return Path(directory) / _CACHE_SUBDIR / f"dataset-{fingerprint[:32]}.arena"
 
 
 def synthesis_arena_path(fingerprint: str) -> Path:
-    """Where a synthesis's memory-mapped arena lives."""
+    """Where a synthesis cache entry lives."""
     return default_cache_dir() / f"synth-{fingerprint[:32]}.arena"
 
 
-def load_cached_bundle(path: Path) -> tuple[dict[str, Table], dict] | None:
-    """Read a cache entry; a missing or corrupt entry is a miss.
+def _owned(column: np.ndarray) -> np.ndarray:
+    """``column`` detached from the mapping (decoded strings already are)."""
+    return np.array(column) if isinstance(column, np.memmap) else column
 
-    Corrupt entries are deleted on sight so they cannot shadow the slot
-    forever.
+
+def _read_in_ram(path: Path, fingerprint: str) -> tuple[dict[str, Table], dict]:
+    tables, meta = read_arena(path, expected_fingerprint=fingerprint)
+    copied = {
+        name: Table({col: _owned(table[col]) for col in table.column_names})
+        for name, table in tables.items()
+    }
+    return copied, meta
+
+
+def _read_entry(
+    path: Path, fingerprint: str, mode: str
+) -> tuple[dict[str, Table], dict] | None:
+    """Shared reader: a missing, corrupt, or stale entry is a miss.
+
+    A corrupt or fingerprint-mismatched file is deleted on sight so it
+    cannot shadow the slot forever.
     """
-    if not path.exists():
+    try:
+        size = path.stat().st_size
+    except OSError:
         trace_add("cache.miss")
         return None
-    size = path.stat().st_size
-    with trace_span("cache.read", file=path.name, bytes=size):
+    with trace_span("cache.read", file=path.name, bytes=size, mode=mode):
         try:
-            bundle = read_npz(path)
-        except ParseError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            trace_add("cache.corrupt")
+            if mode == "mmap":
+                bundle = attach_arena(path, fingerprint)
+            else:
+                bundle = _read_in_ram(path, fingerprint)
+        except (ParseError, OSError) as error:
+            if isinstance(error, ParseError):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                trace_add("cache.corrupt")
             trace_add("cache.miss")
             return None
     trace_add("cache.hit")
@@ -215,71 +222,28 @@ def load_cached_bundle(path: Path) -> tuple[dict[str, Table], dict] | None:
     return bundle
 
 
-def store_bundle(
-    path: Path,
-    tables: Mapping[str, Table],
-    meta: Mapping,
-    *,
-    prune_siblings: bool = False,
-) -> bool:
-    """Best-effort write of a cache entry.
+def load_cached_bundle(
+    path: Path, fingerprint: str
+) -> tuple[dict[str, Table], dict] | None:
+    """Read an arena entry into plain in-RAM tables (``mode="ram"``).
 
-    Returns True when the entry was written.  With ``prune_siblings``
-    (used for per-directory entries, where only the current fingerprint
-    is ever valid) other ``*.npz`` entries beside ``path`` are removed
-    so an edited dataset does not accumulate stale bundles.  Synthesis
-    entries are not pruned — different ``(spec, days, seed)`` keys are
-    all simultaneously valid.
+    Every column is copied into a writable ``np.ndarray`` and the
+    mapping is dropped: the tables carry no arena descriptor, pickle by
+    value, and never enter the per-process attachment cache, so no
+    mapped pages stay resident.
     """
-    if path.parent.exists():
-        # A SIGKILLed earlier writer may have left *.tmp.<pid> files
-        # beside the entry; reclaim any whose writer is dead.
-        prune_stale_temps(path.parent)
-    with trace_span("cache.write", file=path.name) as sp:
-        try:
-            write_npz(path, tables, meta=meta)
-            written = path.stat().st_size
-        except OSError:
-            return False
-        sp.note(bytes=written)
-    trace_add("cache.store")
-    trace_add("cache.write_bytes", written)
-    if prune_siblings:
-        try:
-            for sibling in path.parent.glob("*.npz"):
-                if sibling != path:
-                    sibling.unlink(missing_ok=True)
-        except OSError:
-            pass
-    return True
+    return _read_entry(path, fingerprint, "ram")
 
 
 def load_arena(path: Path, fingerprint: str) -> tuple[dict[str, Table], dict] | None:
-    """Attach an arena cache entry; a missing, corrupt, or stale one is a miss.
+    """Attach an arena entry as memory-mapped tables (``mode="mmap"``).
 
     Attachment goes through the per-process cache
     (:func:`repro.table.attach_arena`), so repeated loads of the same
     entry share one mapping and the returned tables pickle as
-    descriptors.  A corrupt or fingerprint-mismatched file is deleted
-    on sight, exactly like a corrupt ``.npz`` entry.
+    descriptors.
     """
-    if not path.exists():
-        trace_add("arena.miss")
-        return None
-    with trace_span("arena.attach", file=path.name, bytes=path.stat().st_size):
-        try:
-            tables, meta = attach_arena(path, fingerprint)
-        except (ParseError, OSError) as error:
-            if isinstance(error, ParseError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            trace_add("arena.corrupt")
-            trace_add("arena.miss")
-            return None
-    trace_add("arena.hit")
-    return tables, meta
+    return _read_entry(path, fingerprint, "mmap")
 
 
 def store_arena(
@@ -290,26 +254,29 @@ def store_arena(
     *,
     prune_siblings: bool = False,
 ) -> bool:
-    """Best-effort write of an arena entry keyed by ``fingerprint``.
+    """Best-effort write of the cache entry keyed by ``fingerprint``.
 
-    The fingerprint is embedded in the arena's meta so an attach can
+    The fingerprint is embedded in the arena's meta so a read can
     verify it belongs to the current sources.  ``prune_siblings``
-    removes other ``*.arena`` entries beside ``path`` (per-directory
-    entries: only the current fingerprint is ever valid); stale
-    ``*.tmp.*`` leftovers from killed writers are always pruned by the
-    writer itself.  Returns True when the entry was written.
+    (per-directory entries, where only the current fingerprint is ever
+    valid) removes other ``*.arena`` entries beside ``path`` so an
+    edited dataset does not accumulate stale ones; synthesis entries
+    are not pruned, since different ``(spec, days, seed)`` keys are all
+    simultaneously valid.  Stale ``*.tmp.*`` leftovers from killed
+    writers are always pruned by the writer itself.  Returns True when
+    the entry was written.
     """
     stored_meta = dict(meta)
     stored_meta["fingerprint"] = fingerprint
-    with trace_span("arena.write", file=path.name) as sp:
+    with trace_span("cache.write", file=path.name) as sp:
         try:
             write_arena(path, tables, meta=stored_meta)
             written = path.stat().st_size
         except OSError:
             return False
         sp.note(bytes=written)
-    trace_add("arena.store")
-    trace_add("arena.write_bytes", written)
+    trace_add("cache.store")
+    trace_add("cache.write_bytes", written)
     if prune_siblings:
         try:
             for sibling in path.parent.glob("*.arena"):
@@ -318,3 +285,7 @@ def store_arena(
         except OSError:
             pass
     return True
+
+
+# perfbench/layers.py wraps this name; the next benchmark change drops it.
+store_bundle = store_arena

@@ -153,6 +153,18 @@ def _read_incidents(directory: Path) -> list[Incident]:
     ]
 
 
+def _cache_lookup(
+    path: Path, fingerprint: str, mode: str, refresh: bool
+) -> tuple[dict[str, Table], dict] | None:
+    """The cache entry at ``path`` handed back per ``mode``, or None."""
+    if refresh:
+        trace_add("cache.refresh")
+        return None
+    if mode == "mmap":
+        return _cache.load_arena(path, fingerprint)
+    return _cache.load_cached_bundle(path, fingerprint)
+
+
 @dataclass
 class MiraDataset:
     """The four logs plus synthesis metadata."""
@@ -201,7 +213,7 @@ class MiraDataset:
         event→job join.
 
         Parameter-free syntheses (all ``*_params`` left ``None``) are
-        served from and stored to the columnar cache under
+        served from and stored to one columnar arena entry under
         ``$REPRO_CACHE_DIR`` (see :mod:`repro.dataset.cache`), keyed by
         ``(spec, n_days, seed)`` and the toolkit version.  ``cache=False``
         bypasses it; ``refresh_cache=True`` regenerates and overwrites.
@@ -222,13 +234,14 @@ class MiraDataset:
         always).  ``backend="mira"`` is the exact historical pipeline,
         bit for bit.
 
-        ``mode="mmap"`` additionally materializes the cached bundle as
-        a page-aligned columnar arena (:mod:`repro.table.arena`) and
-        returns tables backed by read-only memory maps: loading is
-        O(1) RAM until columns are touched, and worker processes
-        attach the same mapping instead of receiving a pickled copy.
-        It requires a cacheable synthesis (``cache=True`` and no custom
-        ``*_params``), since the arena lives in the cache directory.
+        ``mode`` decides only how the entry is handed back.  ``"ram"``
+        copies every column into plain in-RAM arrays.  ``"mmap"``
+        returns tables backed by read-only memory maps of the arena
+        (:mod:`repro.table.arena`): loading is O(1) RAM until columns
+        are touched, and worker processes attach the same mapping
+        instead of receiving a pickled copy.  It requires a cacheable
+        synthesis (``cache=True`` and no custom ``*_params``), since
+        the arena lives in the cache directory.
         """
         if mode not in ("ram", "mmap"):
             raise ValueError(f"mode must be 'ram' or 'mmap', got {mode!r}")
@@ -274,28 +287,15 @@ class MiraDataset:
                     "(cache=True and no custom *_params): the arena is "
                     "materialized in the synthesis cache directory"
                 )
-            cache_path = arena_path = None
+            cache_path = None
             if cacheable:
                 fingerprint = _cache.fingerprint_synthesis(
                     spec, n_days, seed, scale, backend
                 )
-                cache_path = _cache.synthesis_cache_path(fingerprint)
-                if mode == "mmap":
-                    arena_path = _cache.synthesis_arena_path(fingerprint)
-                if refresh_cache:
-                    trace_add("cache.refresh")
-                else:
-                    if arena_path is not None:
-                        bundle = _cache.load_arena(arena_path, fingerprint)
-                        if bundle is not None:
-                            return cls._from_bundle(*bundle)
-                    bundle = _cache.load_cached_bundle(cache_path)
-                    if bundle is not None:
-                        if arena_path is not None:
-                            return cls._via_arena(
-                                arena_path, fingerprint, *bundle
-                            )
-                        return cls._from_bundle(*bundle)
+                cache_path = _cache.synthesis_arena_path(fingerprint)
+                bundle = _cache_lookup(cache_path, fingerprint, mode, refresh_cache)
+                if bundle is not None:
+                    return cls._from_bundle(*bundle)
             if scale != 1.0:
                 k = int(scale)
                 spec = _fleet_spec(spec, k)
@@ -366,16 +366,7 @@ class MiraDataset:
                 backend=backend,
             )
             if cache_path is not None:
-                _cache.store_bundle(
-                    cache_path, dataset._tables(), dataset._bundle_meta()
-                )
-                if arena_path is not None:
-                    return cls._via_arena(
-                        arena_path,
-                        fingerprint,
-                        dataset._tables(),
-                        dataset._bundle_meta(),
-                    )
+                return dataset._stored(cache_path, fingerprint, mode)
             return dataset
 
     @staticmethod
@@ -430,44 +421,48 @@ class MiraDataset:
         ]
 
     def _bundle_meta(self) -> dict:
-        """Metadata stored alongside the tables in a cache bundle."""
+        """Metadata stored alongside the tables in a cache entry."""
         meta = self._meta_record()
         meta["incidents"] = self._incident_rows()
         return meta
 
-    @classmethod
-    def _via_arena(
-        cls,
-        arena_path: Path,
+    def _stored(
+        self,
+        path: Path,
         fingerprint: str,
-        tables: dict[str, Table],
-        meta: dict,
+        mode: str,
         *,
         lenient: bool = False,
         prune: bool = False,
     ) -> "MiraDataset":
-        """Materialize ``tables`` as an arena and return the attached view.
+        """Store this dataset as the cache entry at ``path``; return what
+        the caller hands back.
 
-        Best-effort, like every cache write: when the filesystem refuses
-        the arena (or a concurrent writer races us and leaves something
-        unattachable), the in-RAM tables are returned unchanged instead
-        of failing the load.
+        ``ram`` hands back ``self``; ``mmap`` the freshly attached
+        arena.  Best-effort, like every cache write: when the filesystem
+        refuses the entry (or a concurrent writer races us and leaves
+        something unattachable), ``self`` is returned instead of failing.
         """
         stored = _cache.store_arena(
-            arena_path, tables, meta, fingerprint, prune_siblings=prune
+            path,
+            self._tables(),
+            self._bundle_meta(),
+            fingerprint,
+            prune_siblings=prune,
         )
-        if stored:
-            bundle = _cache.load_arena(arena_path, fingerprint)
+        if stored and mode == "mmap":
+            bundle = _cache.load_arena(path, fingerprint)
             if bundle is not None:
-                return cls._from_bundle(*bundle, lenient=lenient)
-        return cls._from_bundle(tables, meta, lenient=lenient)
+                return type(self)._from_bundle(*bundle, lenient=lenient)
+        return self
 
     @classmethod
     def _from_bundle(
         cls, tables: dict[str, Table], meta: dict, *, lenient: bool = False
     ) -> "MiraDataset":
-        """Rebuild a dataset from a cache bundle (no parsing, no checks —
-        bundles are only ever written after a fully validated load)."""
+        """Rebuild a dataset from cached ``(tables, meta)`` (no parsing,
+        no checks — entries are only ever written after a fully
+        validated load)."""
         incidents = [
             Incident(
                 incident_id=row["incident_id"],
@@ -529,7 +524,7 @@ class MiraDataset:
         assume-Mira behavior for lenient loads, recorded as a
         degradation in the ingestion report.
 
-        Loads are served from a columnar ``.npz`` cache under
+        Loads are served from a columnar arena cache entry under
         ``<directory>/.repro-cache`` when the source files' content
         fingerprint matches a stored entry (see
         :mod:`repro.dataset.cache`); any edit to any source file misses.
@@ -538,16 +533,14 @@ class MiraDataset:
         cached.  ``cache=False`` bypasses the cache; ``refresh_cache=True``
         reloads from the CSVs and overwrites the entry.
 
-        ``mode="mmap"`` serves the dataset from a page-aligned columnar
-        arena beside the ``.npz`` entry (same content fingerprint, so
-        editing any source file invalidates both): tables come back as
-        read-only memory-mapped views, the load is O(1) RAM until
-        columns are touched, and worker processes attach the mapping by
-        descriptor instead of receiving a pickled copy.  The arena is
-        materialized from the bundle on first ``mmap`` use.  Requires
-        ``cache=True``; a lenient load that quarantined or degraded
-        anything falls back to in-RAM tables (dirty data is never
-        persisted, in either format).
+        ``mode`` decides only how the entry is handed back.  ``"ram"``
+        copies every column into plain in-RAM arrays.  ``"mmap"``
+        returns read-only memory-mapped views of the arena: the load is
+        O(1) RAM until columns are touched, and worker processes attach
+        the mapping by descriptor instead of receiving a pickled copy.
+        It requires ``cache=True``; a lenient load that quarantined or
+        degraded anything falls back to in-RAM tables (dirty data is
+        never persisted).
 
         Raises
         ------
@@ -567,50 +560,21 @@ class MiraDataset:
             )
         directory = Path(directory)
         with trace_span("dataset.load", directory=directory.name, lenient=lenient):
-            cache_path = arena_path = None
+            cache_path = None
             if cache and directory.is_dir():
                 fingerprint = _cache.fingerprint_directory(directory)
-                cache_path = _cache.dataset_cache_path(directory, fingerprint)
-                if mode == "mmap":
-                    arena_path = _cache.dataset_arena_path(directory, fingerprint)
-                if refresh_cache:
-                    trace_add("cache.refresh")
-                else:
-                    if arena_path is not None:
-                        bundle = _cache.load_arena(arena_path, fingerprint)
-                        if bundle is not None:
-                            return cls._from_bundle(*bundle, lenient=lenient)
-                    bundle = _cache.load_cached_bundle(cache_path)
-                    if bundle is not None:
-                        if arena_path is not None:
-                            return cls._via_arena(
-                                arena_path,
-                                fingerprint,
-                                *bundle,
-                                lenient=lenient,
-                                prune=True,
-                            )
-                        return cls._from_bundle(*bundle, lenient=lenient)
+                cache_path = _cache.dataset_arena_path(directory, fingerprint)
+                bundle = _cache_lookup(cache_path, fingerprint, mode, refresh_cache)
+                if bundle is not None:
+                    return cls._from_bundle(*bundle, lenient=lenient)
             if lenient:
                 dataset = cls._load_lenient(directory, max_bad_rows, assume_mira)
             else:
                 dataset = cls._load_strict(directory)
             if cache_path is not None and not dataset.ingestion:
-                _cache.store_bundle(
-                    cache_path,
-                    dataset._tables(),
-                    dataset._bundle_meta(),
-                    prune_siblings=True,
+                return dataset._stored(
+                    cache_path, fingerprint, mode, lenient=lenient, prune=True
                 )
-                if arena_path is not None:
-                    return cls._via_arena(
-                        arena_path,
-                        fingerprint,
-                        dataset._tables(),
-                        dataset._bundle_meta(),
-                        lenient=lenient,
-                        prune=True,
-                    )
             return dataset
 
     @classmethod

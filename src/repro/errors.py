@@ -66,9 +66,8 @@ class ColumnTypeError(ReproError, TypeError):
     """A column whose values cannot be serialized losslessly.
 
     Raised at *write* time — e.g. an object-dtype column holding
-    non-string values headed for an ``.npz`` bundle or a columnar
-    arena, both of which store strings only (``allow_pickle`` stays
-    off on read, so anything else would silently round-trip through
+    non-string values headed for a columnar arena, which stores
+    strings only (anything else would silently round-trip through
     ``str()``).  Also a :class:`TypeError`, because the problem is the
     value's type, not its content.
     """

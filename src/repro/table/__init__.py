@@ -4,10 +4,9 @@ Public surface::
 
     from repro.table import Table, read_csv, write_csv
 
-Persistence comes in two formats: the portable compressed ``.npz``
-bundle (:func:`write_npz`/:func:`read_npz`) and the memory-mapped
-columnar arena (:func:`write_arena`/:func:`read_arena`) that attaches
-as zero-copy read-only views shared across processes.
+Persistence has one format: the memory-mapped columnar arena
+(:func:`write_arena`/:func:`read_arena`), which attaches as zero-copy
+read-only views shared across processes.
 """
 
 from .arena import attach_arena, read_arena, write_arena
@@ -15,7 +14,6 @@ from .column import as_column, factorize
 from .csvio import read_csv, read_jsonl, write_csv, write_jsonl
 from .frame import Table
 from .groupby import GroupBy
-from .npzio import read_npz, write_npz
 
 __all__ = [
     "Table",
@@ -26,8 +24,6 @@ __all__ = [
     "write_csv",
     "read_jsonl",
     "write_jsonl",
-    "read_npz",
-    "write_npz",
     "read_arena",
     "write_arena",
     "attach_arena",

@@ -3,10 +3,9 @@
 An *arena* is one flat binary file holding every table of a dataset in
 a layout that can be attached with :func:`numpy.memmap` and served as
 read-only column views — no parsing, no decompression, no per-process
-copy.  It is the hot/native counterpart of the portable compressed
-``.npz`` bundle (:mod:`repro.table.npzio`): the ``.npz`` travels, the
-arena is materialized beside it on first use and shared by every
-process on the machine through the OS page cache.
+copy.  It is the toolkit's only on-disk columnar format: the dataset
+cache (:mod:`repro.dataset.cache`) stores one arena per entry, and
+every process on the machine shares it through the OS page cache.
 
 File layout (all integers little-endian)::
 

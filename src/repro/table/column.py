@@ -92,11 +92,9 @@ def common_kind(arrays: Iterable[np.ndarray]) -> str:
 def ensure_string_values(arr: np.ndarray, context: str) -> None:
     """Reject object-dtype columns holding anything but ``str``.
 
-    Both persistent formats (``.npz`` bundle and columnar arena) store
-    object columns as strings only — ``.npz`` reads back with
-    ``allow_pickle=False`` and the arena dictionary-encodes UTF-8 — so
-    a non-string value must fail loudly at *write* time instead of
-    silently round-tripping through ``str()``.
+    The columnar arena stores object columns as strings only — it
+    dictionary-encodes UTF-8 — so a non-string value must fail loudly at
+    *write* time instead of silently round-tripping through ``str()``.
 
     Raises
     ------

@@ -176,6 +176,34 @@ class TestInvalidation:
         assert after != before
 
 
+class TestOneEntry:
+    def test_mmap_then_ram_share_one_file(self, synth_cache_dir):
+        mmap = MiraDataset.synthesize(n_days=DAYS, seed=SEED, mode="mmap")
+        ram = MiraDataset.synthesize(n_days=DAYS, seed=SEED, mode="ram")
+        assert [p.suffix for p in synth_cache_dir.iterdir()] == [".arena"]
+        for name, table in mmap._tables().items():
+            assert ram._tables()[name] == table, name
+        assert ram.incidents == mmap.incidents
+
+    def test_ram_hit_is_plain_owned_memory(self):
+        from repro.table import arena as arena_mod
+
+        MiraDataset.synthesize(n_days=DAYS, seed=SEED, mode="ram")  # store
+        detach_all()
+        attached = dict(arena_mod._ATTACHED)
+        hit = MiraDataset.synthesize(n_days=DAYS, seed=SEED, mode="ram")
+        assert arena_mod._ATTACHED == attached
+        for name, table in hit._tables().items():
+            assert table._arena is None, name
+            for column in table.column_names:
+                values = table[column]
+                assert not isinstance(values, np.memmap), (name, column)
+                assert values.flags.writeable, (name, column)
+        assert arena_mod._ATTACHED == attached
+        # Pickles by value: the blob carries the data, not a descriptor.
+        assert len(pickle.dumps(hit.jobs)) > 10 * 1024
+
+
 class TestModeValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

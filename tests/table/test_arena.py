@@ -53,6 +53,47 @@ class TestRoundTrip:
             assert tables[name] == original
             assert tables[name].column_names == original.column_names
 
+    def test_meta_round_trips_verbatim(self, tmp_path):
+        path = tmp_path / "data.arena"
+        meta = {"n_days": 3.5, "tags": ["x"]}
+        write_arena(path, {"t": Table({"a": [1]})}, meta=meta)
+        _tables, read_meta = read_arena(path)
+        assert read_meta == meta
+
+    def test_dtypes_survive(self, tmp_path):
+        path = tmp_path / "data.arena"
+        write_arena(path, _sample_tables())
+        tables, _ = read_arena(path)
+        events = tables["events"]
+        assert events["timestamp"].dtype == np.float64
+        assert events["count"].dtype == np.int64
+        assert events["ok"].dtype == np.bool_
+        assert events["msg_id"].dtype.kind == "O"
+        for name, original in _sample_tables().items():
+            for column in original.column_names:
+                assert tables[name][column].dtype == original[column].dtype
+
+    def test_all_empty_string_column(self, tmp_path):
+        path = tmp_path / "data.arena"
+        write_arena(path, {"t": Table({"block": ["", "", ""]})})
+        tables, _ = read_arena(path)
+        assert tables["t"]["block"].tolist() == ["", "", ""]
+
+    def test_zero_row_and_zero_column_tables(self, tmp_path):
+        path = tmp_path / "data.arena"
+        write_arena(path, _sample_tables())
+        tables, _ = read_arena(path)
+        assert tables["empty"].n_rows == 0
+        assert tables["empty"].column_names == ["a", "b"]
+        assert tables["empty"]["a"].dtype == np.int64
+        assert tables["nothing"].column_names == []
+        assert tables["nothing"] == _sample_tables()["nothing"]
+
+    def test_atomic_write_leaves_no_temp_files(self, tmp_path):
+        path = tmp_path / "data.arena"
+        write_arena(path, _sample_tables())
+        assert [p.name for p in tmp_path.iterdir()] == ["data.arena"]
+
     def test_numeric_views_are_read_only_memmaps(self, tmp_path):
         path = tmp_path / "data.arena"
         write_arena(path, _sample_tables())
@@ -92,6 +133,14 @@ class TestRoundTrip:
         with pytest.raises(ColumnTypeError, match="t.blob"):
             write_arena(tmp_path / "bad.arena", {"t": bad})
         assert not (tmp_path / "bad.arena").exists()
+
+    def test_rejected_write_leaves_no_files(self, tmp_path):
+        bad = np.empty(2, dtype=object)
+        bad[0], bad[1] = "fine", 3.5
+        table = Table({"a": [1, 2]}).with_column("label", bad)
+        with pytest.raises(ColumnTypeError, match=r"t\.label"):
+            write_arena(tmp_path / "bad.arena", {"t": table})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAttachCache:
@@ -160,6 +209,28 @@ class TestCorruption:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_arena(tmp_path / "nope.arena")
+
+    def test_attach_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            attach_arena(tmp_path / "nope.arena", "fp")
+
+    def test_garbage_file_raises_parse_error(self, tmp_path):
+        path = tmp_path / "bad.arena"
+        path.write_bytes(b"not an archive")
+        with pytest.raises(ParseError, match="not an arena|truncated"):
+            read_arena(path)
+
+    def test_future_format_version_rejected(self, tmp_path, monkeypatch):
+        import repro.table.arena as arena_mod
+
+        path = tmp_path / "data.arena"
+        monkeypatch.setattr(
+            arena_mod, "ARENA_FORMAT_VERSION", arena_mod.ARENA_FORMAT_VERSION + 1
+        )
+        write_arena(path, {"t": Table({"a": [1]})})
+        monkeypatch.undo()
+        with pytest.raises(ParseError, match="format version"):
+            read_arena(path)
 
 
 class TestPruneStaleTemps:
