@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+import time
 
 from repro.dataset import MiraDataset, validate_dataset
 from repro.errors import JournalError, ReproError
@@ -221,6 +222,7 @@ def _raise_keyboard_interrupt(signum, frame):
 
 def main_report(argv: list[str] | None = None) -> int:
     """Render the full study report (all experiments + takeaways)."""
+    main_at = time.perf_counter()
     import os
     from pathlib import Path
 
@@ -356,6 +358,7 @@ def main_report(argv: list[str] | None = None) -> int:
         from repro.obs import trace as obs_trace
 
         recorder = obs_trace.install(obs_trace.TraceRecorder())
+        recorder.mark_process_start(main_at)
 
     journal = None
     completed = None

@@ -5,7 +5,9 @@ execution length depends on the exit code: Weibull, Pareto, inverse
 Gaussian, and Erlang/exponential all win for some family.  This module
 wraps those candidates (plus lognormal and gamma as controls) behind a
 uniform MLE-fit interface on top of scipy, with location pinned to zero
-— execution lengths are positive durations.
+— execution lengths are positive durations.  Each model names its
+``scipy.stats`` distribution and resolves it on first use, so importing
+the toolkit does not import scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import FitError
 
@@ -46,9 +47,16 @@ class DistributionModel:
     """A fittable distribution family."""
 
     name: str
-    dist: object  # scipy.stats rv_continuous
+    scipy_name: str  # attribute of scipy.stats
     n_params: int  # free parameters under floc=0
     fit_kwargs: dict
+
+    @property
+    def dist(self):
+        """The ``scipy.stats`` distribution (an ``rv_continuous``)."""
+        from scipy import stats as sps
+
+        return getattr(sps, self.scipy_name)
 
     def fit(self, sample: np.ndarray) -> FittedModel:
         """Maximum-likelihood fit with location pinned at zero.
@@ -66,11 +74,12 @@ class DistributionModel:
             )
         if (arr <= 0).any():
             raise FitError(f"{self.name}: sample must be strictly positive")
+        dist = self.dist
         try:
-            params = self.dist.fit(arr, **self.fit_kwargs)
+            params = dist.fit(arr, **self.fit_kwargs)
         except Exception as exc:  # scipy raises a zoo of exception types
             raise FitError(f"{self.name}: fit failed: {exc}") from exc
-        frozen = self.dist(*params)
+        frozen = dist(*params)
         with np.errstate(divide="ignore"):
             log_pdf = frozen.logpdf(arr)
         log_likelihood = float(np.sum(log_pdf))
@@ -87,12 +96,12 @@ class DistributionModel:
 
 
 CANDIDATE_MODELS: tuple[DistributionModel, ...] = (
-    DistributionModel("weibull", sps.weibull_min, 2, {"floc": 0}),
-    DistributionModel("pareto", sps.pareto, 2, {"floc": 0}),
-    DistributionModel("invgauss", sps.invgauss, 2, {"floc": 0}),
-    DistributionModel("exponential", sps.expon, 1, {"floc": 0}),
-    DistributionModel("erlang", sps.gamma, 2, {"floc": 0}),
-    DistributionModel("lognormal", sps.lognorm, 2, {"floc": 0}),
+    DistributionModel("weibull", "weibull_min", 2, {"floc": 0}),
+    DistributionModel("pareto", "pareto", 2, {"floc": 0}),
+    DistributionModel("invgauss", "invgauss", 2, {"floc": 0}),
+    DistributionModel("exponential", "expon", 1, {"floc": 0}),
+    DistributionModel("erlang", "gamma", 2, {"floc": 0}),
+    DistributionModel("lognormal", "lognorm", 2, {"floc": 0}),
 )
 """The candidate set used by the E04 experiment.
 

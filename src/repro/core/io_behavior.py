@@ -9,7 +9,6 @@ distributions.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.table import Table
 
@@ -29,6 +28,8 @@ def io_by_outcome(io: Table, jobs: Table) -> tuple[Table, dict[str, float]]:
     ValueError
         When the join yields no profiles for either outcome.
     """
+    from scipy import stats as sps
+
     joined = io.join(
         jobs.select(["job_id", "exit_status", "core_hours"]), on="job_id"
     )

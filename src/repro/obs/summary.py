@@ -88,6 +88,13 @@ def summarize_lines(trace: Trace, top: int = 20) -> list[str]:
         f"trace {label}: {len(trace.spans)} spans, "
         f"{len(trace.counters)} counters, {len(trace.gauges)} gauges"
     ]
+    for record in trace.spans:
+        if record["name"] == "process.start":
+            lines.append(
+                f"process.start: {float(record['seconds']):.4f} s from "
+                "process start to main (interpreter start-up, imports)"
+            )
+            break
     rollups = rollup_spans(trace.spans)
     if rollups:
         lines.append("")

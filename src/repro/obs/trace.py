@@ -11,6 +11,11 @@ nest via an explicit stack, durations come from the monotonic clock
 ``trace.jsonl`` through :mod:`repro.util.atomic` next to the run's
 ``journal.jsonl``.
 
+An entry point's trace opens with a ``process.start`` span
+(:meth:`TraceRecorder.mark_process_start`): interpreter start-up and
+imports, from the kernel's record of when the process started up to
+the entry point's ``main``.  Linux only; elsewhere it is omitted.
+
 Spans recorded in a worker process cannot share the supervisor's
 recorder; the experiment engine ships them back inside the
 :class:`~repro.experiments.engine.ExperimentOutcome` and merges them
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +39,7 @@ __all__ = [
     "active",
     "add",
     "install",
+    "process_start",
     "recording",
     "set_gauge",
     "span",
@@ -42,6 +49,32 @@ __all__ = [
 #: Bump when the trace.jsonl record layout changes; validators refuse
 #: other versions rather than guessing.
 TRACE_SCHEMA = 1
+
+
+def process_start(main_at: float) -> float | None:
+    """When this process started, as a :func:`time.perf_counter` reading.
+
+    ``main_at`` is the reading an entry point takes as its ``main``
+    begins; the result is clamped to it.  Linux only: ``/proc/self/stat``
+    gives the start in clock ticks since boot, which ``CLOCK_BOOTTIME``
+    turns into an age (to the tick, 10 ms on most kernels).  There,
+    ``perf_counter`` and ``monotonic`` are the same ``CLOCK_MONOTONIC``,
+    so a :func:`time.monotonic` ``main_at`` serves as well.  ``None``
+    elsewhere, or when ``/proc`` cannot be read.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as handle:
+            stat = handle.read()
+        # Field 2 (the command name) may hold spaces and parentheses;
+        # fields 3 onwards follow its last ")", and starttime is 22.
+        start_ticks = int(stat[stat.rindex(b")") + 2:].split()[19])
+        ticks_per_s = os.sysconf("SC_CLK_TCK")
+        age = time.clock_gettime(time.CLOCK_BOOTTIME) - start_ticks / ticks_per_s
+    except (OSError, ValueError, IndexError, AttributeError):
+        return None
+    return min(time.perf_counter() - max(age, 0.0), main_at)
 
 
 class _NullSpan:
@@ -114,7 +147,7 @@ class TraceRecorder:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
 
-    def start_span(self, name: str, attrs: Mapping) -> _Span:
+    def _new_record(self, name: str, attrs: Mapping) -> dict:
         record = {
             "kind": "span",
             "id": len(self.spans),
@@ -127,7 +160,27 @@ class TraceRecorder:
             "attrs": dict(attrs),
         }
         self.spans.append(record)
-        return _Span(self, record)
+        return record
+
+    def start_span(self, name: str, attrs: Mapping) -> _Span:
+        return _Span(self, self._new_record(name, attrs))
+
+    def mark_process_start(self, main_at: float) -> None:
+        """Record ``process.start``, from process start to ``main_at``.
+
+        ``main_at`` is the :func:`time.perf_counter` reading an entry
+        point takes as its ``main`` begins.  The trace's clock is
+        re-based on the process start, so the span starts at 0 and
+        every later span after it; call this before any other span.
+        A no-op where :func:`process_start` is ``None``.
+        """
+        started = process_start(main_at)
+        if started is None:
+            return
+        self._epoch = started
+        record = self._new_record("process.start", {})
+        record["start"] = 0.0  # the re-based epoch
+        record["seconds"] = round(main_at - started, 9)
 
     def add(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value

@@ -21,6 +21,7 @@ import json
 import os
 import signal
 import sys
+import time
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -32,6 +33,7 @@ ENDPOINT_NAME = "endpoint.json"
 
 def main_serve(argv: list[str] | None = None) -> int:
     """Serve experiment/query requests from a hot dataset over HTTP."""
+    main_at = time.monotonic()
     from repro.cli import _add_cache_args, _add_lenient_args, _add_synth_args
     from repro.cli import _load_or_synthesize
     from repro.dataset.cache import default_cache_dir, fingerprint_for_run
@@ -272,6 +274,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         config=config,
         journal=journal,
         reloader=reloader,
+        main_at=main_at,
     )
     host, _ = server.start()
     url = f"http://{host}:{server.port}"

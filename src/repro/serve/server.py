@@ -99,12 +99,17 @@ class _ServeTrace:
     and absorbs them into a recorder only at write time.
     """
 
-    def __init__(self):
+    def __init__(self, main_at: float | None = None):
         self._lock = threading.Lock()
         self._epoch = time.monotonic()
         self._spans: list[dict] = []
         self._counters: dict[str, float] = {}
         self._pid = os.getpid()
+        started = None if main_at is None else _obs.process_start(main_at)
+        if started is not None:
+            # Re-base the clock on the process start: span 0 is start-up.
+            self._epoch = started
+            self.record_span("process.start", started, main_at - started)
 
     def record_span(self, name: str, start: float, seconds: float, **attrs):
         with self._lock:
@@ -143,6 +148,7 @@ class ReproServer:
         config: ServeConfig | None = None,
         journal=None,
         reloader=None,
+        main_at: float | None = None,
     ):
         self.dataset = dataset
         self.fingerprint = fingerprint
@@ -160,7 +166,10 @@ class ReproServer:
         self.breakers = BreakerBoard(
             self.config.breaker_threshold, self.config.breaker_cooldown_s
         )
-        self._trace = _ServeTrace() if self.config.trace else None
+        #: ``main_at``, the :func:`time.monotonic` reading taken as the
+        #: entry point's ``main`` began, opens the trace with a
+        #: ``process.start`` span (Linux only).
+        self._trace = _ServeTrace(main_at) if self.config.trace else None
         self._lock = threading.Lock()
         # A lenient load that quarantined or degraded anything is not
         # content-addressable: its fingerprint names the *source*, not
@@ -1073,6 +1082,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  A response goes out as
+    # headers then body; with Nagle on, a keep-alive client's delayed
+    # ACK holds the body back ~40 ms, far longer than the query takes.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the journal and trace are the record, not stderr

@@ -2,8 +2,11 @@
 
 The Kolmogorov–Smirnov statistic drives the paper's "best-fitting
 distribution" selection, and the chi-square test backs categorical
-independence claims.  Implemented directly on numpy; scipy is used only
-for the asymptotic KS p-value, which has no simple closed form.
+independence claims.  The statistics are computed directly on numpy;
+scipy supplies only the two p-values, from the asymptotic Kolmogorov
+distribution (``kstwobign.sf``, which has no simple closed form) and
+the chi-square survival function (``chi2.sf``).  It is imported at
+those call sites, so importing this module does not import scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["KsResult", "ks_statistic", "ks_test", "chi_square_independence"]
 
@@ -51,6 +53,8 @@ def ks_statistic(sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 
 def ks_test(sample, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     """One-sample KS test with the asymptotic Kolmogorov p-value."""
+    from scipy import stats as sps
+
     arr = np.asarray(sample, dtype=np.float64)
     d = ks_statistic(arr, cdf)
     n = arr.size
@@ -65,6 +69,8 @@ def chi_square_independence(a, b) -> tuple[float, float, int]:
     Returns ``(chi2, p_value, dof)``.  Cells with zero expected count are
     excluded (their categories contribute no information).
     """
+    from scipy import stats as sps
+
     from repro.table.column import factorize
 
     codes_a, uniques_a = factorize(np.asarray(a, dtype=object))

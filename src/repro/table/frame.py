@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .column import as_column, factorize, is_numeric
+from .join import join as _join
 
 __all__ = ["Table"]
 
@@ -352,8 +353,6 @@ class Table:
         suffix: str = "_right",
     ) -> "Table":
         """Join with another table on one or more key columns."""
-        from .join import join as _join
-
         return _join(self, other, on=on, how=how, suffix=suffix)
 
     # ------------------------------------------------------------------

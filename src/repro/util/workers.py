@@ -52,7 +52,10 @@ closed in practice:
 - :func:`_preload_worker_modules` imports everything the handlers need
   *before* the fork, so the child never enters the import machinery —
   whose per-module locks a concurrently-importing thread could hold —
-  for anything but ``sys.modules`` cache hits.
+  for anything but ``sys.modules`` cache hits.  That includes
+  ``scipy.stats``, which the toolkit imports only at its call sites
+  (the entry points start without it): a module that adds such a
+  lazy import adds it here too.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ def _preload_worker_modules() -> None:
     pure ``sys.modules`` cache hits and never contend on import locks
     a handler thread may hold at fork time.
     """
+    import repro.adapters  # noqa: F401 - e22's backend syntheses
     import repro.experiments  # noqa: F401
     import repro.experiments.journal  # noqa: F401
     import repro.faults.plan  # noqa: F401
+    import scipy.stats  # noqa: F401 - the fitting and test modules' lazy import
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Core tracing: nesting, metrics, serialization, absorb, no-op cost."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,53 @@ class TestSerialization:
         recorder.absorb(shipped)
         recorder.spans[0]["attrs"]["mutated"] = True
         assert "mutated" not in shipped[0]["attrs"]
+
+
+on_linux = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="process start from /proc"
+)
+
+
+class TestProcessStart:
+    @on_linux
+    def test_fresh_interpreter_age_is_its_start_up(self):
+        # A wrong /proc field or clock would be off by the machine's
+        # uptime, not by the tenths of a second start-up takes.
+        probe = (
+            "import time\n"
+            "from repro.obs.trace import process_start\n"
+            "main_at = time.perf_counter()\n"
+            "print(main_at - process_start(main_at))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert 0.0 <= float(out) < 10.0
+
+    @on_linux
+    def test_span_opens_the_trace_and_rebases_its_clock(self, tmp_path):
+        main_at = time.perf_counter()
+        recorder = trace.TraceRecorder()
+        recorder.mark_process_start(main_at)
+        with trace.recording(recorder):
+            with trace.span("work"):
+                pass
+        first, work = recorder.spans
+        assert first["name"] == "process.start"
+        assert first["id"] == 0 and first["parent"] is None
+        assert first["start"] == 0.0 and first["seconds"] > 0.0
+        assert work["start"] >= first["seconds"]
+        validate_file(recorder.write(tmp_path / "trace.jsonl"))
+
+    def test_omitted_where_the_start_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert trace.process_start(time.perf_counter()) is None
+        recorder = trace.TraceRecorder()
+        recorder.mark_process_start(time.perf_counter())
+        assert recorder.spans == []
 
 
 class TestSchemaValidation:

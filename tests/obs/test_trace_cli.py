@@ -1,6 +1,7 @@
 """End-to-end tracing: ``repro-report --trace`` + the ``repro-trace`` CLI."""
 
 import json
+import sys
 
 import pytest
 
@@ -69,6 +70,22 @@ class TestReportTrace:
         ]
         assert worker_kernels, "no kernel spans survived the worker boundary"
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="process start from /proc"
+    )
+    def test_process_start_span_precedes_the_supervisor_spans(self, traced_run):
+        records = validate_file(traced_run / "traced" / "trace.jsonl")
+        spans = [r for r in records if r["kind"] == "span"]
+        first = spans[0]
+        assert first["name"] == "process.start" and first["start"] == 0.0
+        assert [s["name"] for s in spans].count("process.start") == 1
+        # Worker spans keep their own clocks; the supervisor's follow main.
+        assert all(
+            s["start"] >= first["seconds"]
+            for s in spans[1:]
+            if s["pid"] == first["pid"]
+        )
+
     def test_trace_implies_timings_section(self, traced_run):
         report = (traced_run / "traced" / "report.txt").read_text()
         assert "TIMINGS" in report
@@ -123,6 +140,8 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "span" in out and "self s" in out
         assert "experiment" in out
+        if sys.platform.startswith("linux"):
+            assert "process.start" in out  # shown whatever its rank
 
     def test_diff_self_is_flat(self, traced_run, capsys):
         rc = main_trace(

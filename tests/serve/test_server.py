@@ -381,6 +381,37 @@ class TestHealth:
         srv.run_until_stopped()
 
 
+class TestTrace:
+    def test_trace_opens_with_process_start_then_requests(
+        self, dataset, tmp_path
+    ):
+        from repro.experiments.journal import RunJournal
+        from repro.obs.schema import validate_file
+
+        journal = RunJournal.start(
+            tmp_path / "runs", fingerprint="trace-fp",
+            config={"serve": True}, run_id="trace-test",
+        )
+        srv = ReproServer(
+            dataset, fingerprint="trace-fp",
+            config=ServeConfig(workers=1, trace=True), journal=journal,
+            main_at=time.monotonic(),
+        )
+        srv.start()
+        assert query(srv, mode="ping").outcome == "ok"
+        srv.drain_and_stop("test")
+        records = validate_file(journal.directory / "trace.jsonl")
+        spans = [r for r in records if r["kind"] == "span"]
+        names = [s["name"] for s in spans]
+        assert "serve.request" in names
+        if not sys.platform.startswith("linux"):
+            assert "process.start" not in names
+            return
+        first = spans[0]
+        assert first["name"] == "process.start" and first["start"] == 0.0
+        assert all(s["start"] >= first["seconds"] for s in spans[1:])
+
+
 class TestHTTPFront:
     def test_query_health_and_errors_over_real_http(self, server):
         from repro.serve.replay import _http_json
@@ -398,6 +429,32 @@ class TestHTTPFront:
         assert status == 400 and body["outcome"] == "invalid"
         status, body = _http_json(url, "GET", "/nope")
         assert status == 404
+
+    def test_keep_alive_round_trips_beat_the_delayed_ack_floor(self, server):
+        # Headers and body leave in two writes; with Nagle on, the body
+        # waits for the client's delayed ACK (~40 ms) on a reused
+        # connection.  Half that floor is far above a ping's real cost.
+        import http.client
+        import statistics
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        body = json.dumps({"schema": 1, "mode": "ping"}).encode()
+        round_trips = []
+        try:
+            for index in range(31):
+                started = time.perf_counter()
+                conn.request(
+                    "POST", "/query", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert payload["outcome"] == "ok"
+                if index:  # the first request warms connection and worker
+                    round_trips.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.020
 
 
 class TestSigtermDrill:

@@ -6,7 +6,11 @@ in minutes.  Bounds are several times above current timings to stay
 robust on slow CI machines.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +63,26 @@ class TestThroughput:
         )
         _, seconds = _timed(lambda: big.group_by("k").agg(v="sum"))
         assert seconds < 10.0
+
+
+class TestStartUp:
+    def test_entry_points_do_not_import_scipy(self):
+        # scipy.stats alone costs most of a second and ~70 MiB per
+        # process; the toolkit imports it where a fit or a p-value
+        # needs it, never at start-up.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "import repro, repro.cli, repro.serve.cli, repro.stream\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
