@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import AllocationError
 
 from .location import Location
@@ -80,7 +78,9 @@ class Block:
 class PartitionAllocator:
     """Buddy-style allocator of midplane blocks.
 
-    The allocator tracks a busy bitmap over midplanes.  ``allocate``
+    The allocator tracks a busy bitmap over midplanes, held as one
+    Python int (bit ``i`` set: midplane ``i`` is allocated), so testing
+    or flipping a window is a single mask operation.  ``allocate``
     rounds the node request up to the next allowed block size and
     returns the lowest-addressed aligned free block, mimicking a
     deterministic first-fit policy.
@@ -90,7 +90,7 @@ class PartitionAllocator:
         self.spec = spec
         self._n_midplanes = spec.n_midplanes
         self._nodes_per_midplane = spec.nodes_per_midplane
-        self._busy = np.zeros(spec.n_midplanes, dtype=bool)
+        self._busy = 0
         self._n_busy = 0
         self._sizes = allowed_block_sizes(spec)
         self._size_cache: dict[int, int] = {}
@@ -139,10 +139,11 @@ class PartitionAllocator:
         size = self.block_midplanes_for(n_nodes)
         if size > self._n_midplanes - self._n_busy:
             return None
+        busy = self._busy
+        window = (1 << size) - 1
         for start in self._aligned_starts(size):
-            window = self._busy[start : start + size]
-            if not window.any():
-                self._busy[start : start + size] = True
+            if not busy & (window << start):
+                self._busy = busy | (window << start)
                 self._n_busy += size
                 block = self._make_block(start, size)
                 self._active[block.name] = block
@@ -160,7 +161,8 @@ class PartitionAllocator:
         if block.name not in self._active:
             raise AllocationError(f"block {block.name} is not allocated")
         del self._active[block.name]
-        self._busy[block.first_midplane : block.first_midplane + block.n_midplanes] = False
+        window = (1 << block.n_midplanes) - 1
+        self._busy &= ~(window << block.first_midplane)
         self._n_busy -= block.n_midplanes
 
     def _make_block(self, start: int, size: int) -> Block:
@@ -175,6 +177,21 @@ class PartitionAllocator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+
+    @property
+    def block_size_cache(self) -> dict[int, int]:
+        """Node count → block midplanes for every request sized so far.
+
+        The live memo behind :meth:`block_midplanes_for`, exposed so a
+        hot loop can look sizes up without a method call; treat it as
+        read-only.
+        """
+        return self._size_cache
+
+    @property
+    def smallest_block_midplanes(self) -> int:
+        """Midplanes in the smallest allocatable block."""
+        return self._sizes[0]
 
     @property
     def busy_midplanes(self) -> int:

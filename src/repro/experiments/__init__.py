@@ -30,7 +30,13 @@ from . import (  # noqa: F401  (import for registration side effect)
     e21_precursors,
     e22_cross_system,
 )
-from .base import ExperimentResult, all_experiments, experiment_entry, get_experiment
+from .base import (
+    ExperimentResult,
+    all_experiments,
+    experiment_entry,
+    get_experiment,
+    missing_sources,
+)
 from .engine import ExperimentOutcome, SuiteResult, run_suite, write_bench_json
 from .export import export_all, export_result, result_to_markdown
 from .journal import RunJournal, RunState, default_runs_dir, new_run_id
@@ -64,13 +70,8 @@ def run_experiment(experiment_id: str, dataset, **params) -> ExperimentResult:
     ``degraded=True`` and an explanatory note is returned instead of
     crashing the experiment.
     """
-    title, func, requires = experiment_entry(experiment_id)
-    missing = [
-        source
-        for source in requires
-        if getattr(dataset, source, None) is None
-        or getattr(dataset, source).n_rows == 0
-    ]
+    title, func, requires, _ = experiment_entry(experiment_id)
+    missing = missing_sources(dataset, requires)
     if missing:
         return ExperimentResult(
             experiment_id=experiment_id,

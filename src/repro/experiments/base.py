@@ -9,7 +9,7 @@ drive them generically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.table import Table
 
@@ -19,6 +19,8 @@ __all__ = [
     "get_experiment",
     "experiment_entry",
     "all_experiments",
+    "missing_sources",
+    "SynthesisInput",
 ]
 
 
@@ -59,35 +61,66 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-_REGISTRY: dict[str, tuple[str, Callable, tuple[str, ...]]] = {}
+#: A synthesis an experiment reads: ``(backend, n_days, seed)``.
+SynthesisInput = tuple[str, float, int]
+#: ``inputs(dataset)``: the syntheses an experiment's run function makes.
+InputsFunction = Callable[..., Sequence[SynthesisInput]]
+
+_REGISTRY: dict[
+    str, tuple[str, Callable, tuple[str, ...], InputsFunction | None]
+] = {}
 
 
-def register(experiment_id: str, title: str, requires: tuple[str, ...] = ()):
+def register(
+    experiment_id: str,
+    title: str,
+    requires: tuple[str, ...] = (),
+    inputs: InputsFunction | None = None,
+):
     """Decorator registering an experiment ``run`` function.
 
     ``requires`` names the dataset sources (``"ras"``, ``"tasks"``,
     ``"io"``) the experiment cannot run without; when one is empty the
     runner returns a degraded stub result instead of calling ``func``.
     The job log is implicit — every experiment needs it.
+
+    ``inputs(dataset)`` lists the ``(backend, n_days, seed)`` syntheses
+    ``func`` makes with :meth:`~repro.dataset.MiraDataset.synthesize`.
+    A parallel suite synthesizes them ahead of the experiment on idle
+    workers, so ``func`` finds them in the cache; the cache is the only
+    hand-off, so a missing input costs time, never correctness.
     """
 
     def decorator(func: Callable):
         if experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id}")
-        _REGISTRY[experiment_id] = (title, func, tuple(requires))
+        _REGISTRY[experiment_id] = (title, func, tuple(requires), inputs)
         return func
 
     return decorator
 
 
-def experiment_entry(experiment_id: str) -> tuple[str, Callable, tuple[str, ...]]:
-    """Look up an experiment's (title, run function, required sources)."""
+def experiment_entry(
+    experiment_id: str,
+) -> tuple[str, Callable, tuple[str, ...], InputsFunction | None]:
+    """Look up an experiment's (title, run function, required sources,
+    inputs function)."""
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
         ) from None
+
+
+def missing_sources(dataset, requires: tuple[str, ...]) -> list[str]:
+    """The ``requires`` sources ``dataset`` lacks or holds empty."""
+    return [
+        source
+        for source in requires
+        if getattr(dataset, source, None) is None
+        or getattr(dataset, source).n_rows == 0
+    ]
 
 
 def get_experiment(experiment_id: str) -> Callable:
@@ -97,4 +130,4 @@ def get_experiment(experiment_id: str) -> Callable:
 
 def all_experiments() -> dict[str, str]:
     """Mapping of experiment ID to title."""
-    return {eid: title for eid, (title, _, _) in sorted(_REGISTRY.items())}
+    return {eid: entry[0] for eid, entry in sorted(_REGISTRY.items())}

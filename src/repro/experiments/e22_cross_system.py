@@ -29,7 +29,7 @@ from repro.table import Table
 
 from .base import ExperimentResult, register
 
-__all__ = ["run"]
+__all__ = ["comparison_traces", "run"]
 
 PAPER_USER_SHARE = 0.994
 PAPER_MTTI_DAYS = 3.5
@@ -101,7 +101,48 @@ def _measure(dataset: MiraDataset) -> dict:
     }
 
 
-@register("e22", "Cross-system comparison of the Mira findings", requires=("ras",))
+def _comparison_span(
+    dataset: MiraDataset,
+    comparison_days: float | None = None,
+    backends: tuple[str, ...] | None = None,
+) -> tuple[float, int, tuple[str, ...]]:
+    """The matched span, seed and backend names of the comparison."""
+    from repro.adapters import all_backend_names
+
+    days = comparison_days if comparison_days else min(dataset.n_days, 60.0)
+    seed = dataset.seed if dataset.seed >= 0 else 0
+    names = tuple(backends) if backends else all_backend_names()
+    return days, seed, names
+
+
+def comparison_traces(
+    dataset: MiraDataset,
+    comparison_days: float | None = None,
+    backends: tuple[str, ...] | None = None,
+) -> list[tuple[str, float, int]]:
+    """The ``(backend, days, seed)`` traces :func:`run` synthesizes.
+
+    Every compared backend at the matched span and seed, except the
+    input dataset's own backend when the dataset already is that trace.
+    """
+    days, seed, names = _comparison_span(dataset, comparison_days, backends)
+    return [
+        (name, days, seed)
+        for name in names
+        if not (
+            name == dataset.backend
+            and dataset.n_days == days
+            and dataset.seed == seed
+        )
+    ]
+
+
+@register(
+    "e22",
+    "Cross-system comparison of the Mira findings",
+    requires=("ras",),
+    inputs=comparison_traces,
+)
 def run(
     dataset: MiraDataset,
     comparison_days: float | None = None,
@@ -114,13 +155,18 @@ def run(
     matched span so rates and MTTIs are comparable.  The input
     dataset's own backend reuses it directly when the spans line up,
     so ``repro-report --backend google`` does not synthesize google
-    twice.
+    twice.  :func:`comparison_traces` lists the syntheses, so a
+    parallel suite can run them ahead of this experiment.
     """
-    from repro.adapters import all_backend_names, get_backend
+    from repro.adapters import get_backend
 
-    days = comparison_days if comparison_days else min(dataset.n_days, 60.0)
-    seed = dataset.seed if dataset.seed >= 0 else 0
-    names = tuple(backends) if backends else all_backend_names()
+    days, seed, names = _comparison_span(dataset, comparison_days, backends)
+    traces = {
+        name: (trace_days, trace_seed)
+        for name, trace_days, trace_seed in comparison_traces(
+            dataset, comparison_days, backends
+        )
+    }
 
     columns: dict[str, list] = {
         "backend": [],
@@ -143,14 +189,11 @@ def run(
     measured: dict[str, dict] = {}
     for name in names:
         backend = get_backend(name)
-        if (
-            name == dataset.backend
-            and dataset.n_days == days
-            and dataset.seed == seed
-        ):
-            source = dataset
+        if name in traces:
+            trace_days, trace_seed = traces[name]
+            source = MiraDataset.synthesize(trace_days, seed=trace_seed, backend=name)
         else:
-            source = MiraDataset.synthesize(days, seed=seed, backend=name)
+            source = dataset
         row = _measure(source)
         measured[name] = row
         columns["backend"].append(name)

@@ -37,7 +37,15 @@ supervises them the way a batch scheduler supervises jobs:
 - **crash-safe journaling** — every freshly computed outcome is pushed
   through the ``on_outcome`` callback the moment it is collected, and
   ``completed`` outcomes replayed from a journal are returned verbatim
-  without re-running their experiments.
+  without re-running their experiments;
+- **suite inputs** — the syntheses an experiment declares with
+  ``register(..., inputs=...)`` (e22's comparison traces) run as
+  *input jobs* ahead of every experiment, one per synthesis missing
+  from the cache, and the experiment waits until all of its inputs
+  have finished however they ended.  The cache is the only hand-off:
+  a lost input is synthesized again inside the experiment, so it costs
+  time, never correctness.  Input jobs are not outcomes: they are
+  never journaled or retried.
 
 Every outcome carries wall-time, peak-RSS, and the attempt number that
 produced it, and :func:`write_bench_json` serializes a suite into the
@@ -58,7 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import FaultError, ReproError
 from repro.obs import trace as _obs
@@ -66,10 +74,16 @@ from repro.util.atomic import atomic_write_text
 from repro.util.deadline import DeadlineExceeded, deadline
 from repro.util.workers import WorkerSlot
 
-from .base import ExperimentResult
+from .base import (
+    ExperimentResult,
+    SynthesisInput,
+    experiment_entry,
+    missing_sources,
+)
 
 __all__ = [
     "ExperimentOutcome",
+    "InputRun",
     "SuiteResult",
     "run_suite",
     "profile_lines",
@@ -115,17 +129,38 @@ class ExperimentOutcome:
 
 
 @dataclass(frozen=True)
+class InputRun:
+    """How one suite input synthesis ended.
+
+    ``status`` is ``"done"``, ``"error"`` (the synthesis raised;
+    ``message`` is the error's repr), ``"crashed"`` or ``"stalled"``
+    (its worker died or wedged).  ``seconds`` is the supervisor's wall
+    time from dispatch to verdict.
+    """
+
+    backend: str
+    n_days: float
+    seed: int
+    status: str
+    seconds: float
+    message: str = ""
+
+
+@dataclass(frozen=True)
 class SuiteResult:
     """All outcomes of one suite run, in requested order.
 
     ``interrupted`` is True when the run was cut short (SIGINT/SIGTERM)
     and ``outcomes`` holds only what finished before the interrupt.
+    ``inputs`` lists the input syntheses the suite ran ahead of the
+    experiments, in dispatch order.
     """
 
     outcomes: tuple[ExperimentOutcome, ...]
     jobs: int
     total_seconds: float
     interrupted: bool = False
+    inputs: tuple[InputRun, ...] = ()
 
     @cached_property
     def _by_id(self) -> dict[str, ExperimentOutcome]:
@@ -225,12 +260,86 @@ def _run_one(
     )
 
 
-def _run_in_worker(job: tuple, dataset) -> ExperimentOutcome:
+def _absorb(spans, counters) -> None:
+    """Merge spans and counters a worker shipped into the active recorder."""
+    if spans or counters:
+        recorder = _obs.active()
+        if recorder is not None:
+            recorder.absorb(spans, dict(counters))
+
+
+def _synthesize_input(
+    key: SynthesisInput, timeout: float | None, trace: bool
+) -> tuple[str, tuple, tuple]:
+    """Input-job body: synthesize one ``(backend, n_days, seed)`` trace
+    into the cache, exactly as the experiment that declared it would.
+
+    Returns ``(error, spans, counters)``; ``error`` is ``""`` on
+    success, else the repr of what the synthesis raised.
+    """
+    from repro.dataset import MiraDataset
+    from repro.faults.plan import apply_process_faults
+
+    backend, n_days, seed = key
+    recorder = _obs.install(_obs.TraceRecorder()) if trace else None
+    error = ""
+    try:
+        with deadline(timeout):
+            with _obs.span("suite.input", backend=backend, n_days=n_days, seed=seed):
+                apply_process_faults(f"input-{backend}")
+                MiraDataset.synthesize(n_days, seed=seed, backend=backend)
+    except Exception as exc:  # noqa: BLE001 - the experiment synthesizes again
+        error = repr(exc)
+    if recorder is None:
+        return error, (), ()
+    _obs.uninstall()
+    return error, tuple(recorder.spans), tuple(recorder.counters.items())
+
+
+def _run_in_worker(job: tuple, dataset):
     """The experiment workers' :class:`WorkerSlot` handler."""
-    experiment_id, timeout, attempt, trace = job
-    return _run_one(
-        experiment_id, dataset, timeout, attempt, trace, in_worker=True
-    )
+    kind, key, timeout, attempt, trace = job
+    if kind == "input":
+        return _synthesize_input(key, timeout, trace)
+    return _run_one(key, dataset, timeout, attempt, trace, in_worker=True)
+
+
+def _plan_inputs(
+    dataset, pending: list[str]
+) -> tuple[list[SynthesisInput], dict[str, set[SynthesisInput]]]:
+    """The input syntheses ``pending`` needs whose arena is absent.
+
+    Returns them in declaration order, deduplicated, plus the ones
+    each experiment waits for.  Experiments that are unknown, declare
+    no inputs, or will degrade for a missing source need none; neither
+    does one whose ``inputs`` function fails, since it then fails on
+    its own, as an outcome.
+    """
+    from repro.dataset.cache import fingerprint_for_run, synthesis_arena_path
+
+    order: list[SynthesisInput] = []
+    waiting: dict[str, set[SynthesisInput]] = {}
+    for experiment_id in pending:
+        try:
+            _, _, requires, inputs = experiment_entry(experiment_id)
+        except KeyError:  # an unknown id becomes an error outcome
+            continue
+        if inputs is None or missing_sources(dataset, requires):
+            continue
+        try:
+            absent = [
+                (backend, n_days, seed)
+                for backend, n_days, seed in inputs(dataset)
+                if not synthesis_arena_path(
+                    fingerprint_for_run(None, n_days, seed, backend=backend)
+                ).exists()
+            ]
+        except Exception:  # noqa: BLE001 - the experiment fails as an outcome
+            continue
+        if absent:
+            waiting[experiment_id] = set(absent)
+            order.extend(key for key in absent if key not in order)
+    return order, waiting
 
 
 def _run_on_slots(
@@ -243,39 +352,62 @@ def _run_on_slots(
     backoff: float,
     record: Callable[[ExperimentOutcome], None],
     trace: bool = False,
-) -> None:
+    inputs: Sequence[SynthesisInput],
+    waiting: dict[str, set[SynthesisInput]],
+) -> list[InputRun]:
     """Run ``pending`` on ``jobs`` worker slots until every one has an
-    outcome.
+    outcome; returns how the ``inputs`` ended, in their given order.
 
-    Each idle slot takes the next ready experiment.  A worker that dies
-    or stalls (silent for ``timeout + SUPERVISOR_GRACE_S``) loses only
-    the experiment it was running: the slot replaces its worker, and
-    the experiment becomes ready again after ``backoff *
-    2**(attempt-1)`` seconds, up to ``1 + retries`` attempts in all,
-    after which it is recorded as an ``error`` outcome.  Every slot is
-    killed on ``KeyboardInterrupt`` and closed and joined on the way
-    out.
+    Each idle slot takes the next input job, while any is left, and
+    then the next ready experiment whose ``waiting`` inputs have all
+    finished (a finished input is discarded from ``waiting``'s sets).
+    An input job runs once, whatever happens to it.  A worker that
+    dies or stalls (silent for ``timeout +
+    SUPERVISOR_GRACE_S``) loses only the job it was running: the slot
+    replaces its worker, and a lost experiment becomes ready again
+    after ``backoff * 2**(attempt-1)`` seconds, up to ``1 + retries``
+    attempts in all, after which it is recorded as an ``error``
+    outcome.  Every slot is killed on ``KeyboardInterrupt`` and closed
+    and joined on the way out.
     """
     attempts = dict.fromkeys(pending, 0)
     ready = deque(pending)
+    queued_inputs = deque(inputs)
+    input_runs: dict[SynthesisInput, InputRun] = {}
     backing_off: list[tuple[float, str]] = []  # heap of (ready_at, id)
     slots: list[WorkerSlot] = []
-    running: dict[WorkerSlot, str] = {}
+    # slot -> (job kind, experiment id or input key, dispatch time)
+    running: dict[WorkerSlot, tuple[str, object, float]] = {}
+
+    def next_job() -> tuple[str, object] | None:
+        if queued_inputs:
+            return "input", queued_inputs.popleft()
+        for experiment_id in ready:
+            if not waiting.get(experiment_id):
+                ready.remove(experiment_id)
+                return "experiment", experiment_id
+        return None
+
     try:
         for _ in range(jobs):
             slots.append(WorkerSlot(dataset, _run_in_worker))
-        while ready or backing_off or running:
+        while queued_inputs or ready or backing_off or running:
             now = time.monotonic()
             while backing_off and backing_off[0][0] <= now:
                 ready.append(heapq.heappop(backing_off)[1])
             for slot in slots:
-                if ready and slot not in running:
-                    experiment_id = ready.popleft()
-                    attempts[experiment_id] += 1
-                    slot.submit(
-                        (experiment_id, timeout, attempts[experiment_id], trace)
-                    )
-                    running[slot] = experiment_id
+                if slot in running:
+                    continue
+                job = next_job()
+                if job is None:
+                    break
+                kind, key = job
+                attempt = 1
+                if kind == "experiment":
+                    attempts[key] += 1
+                    attempt = attempts[key]
+                slot.submit((kind, key, timeout, attempt, trace))
+                running[slot] = (kind, key, time.monotonic())
             wake = [at for at, _ in backing_off[:1]]
             if timeout is not None:
                 wake += [slot.stall_at(timeout) for slot in running]
@@ -292,8 +424,21 @@ def _run_on_slots(
                     or (timeout is not None and now >= slot.stall_at(timeout))
                 ):
                     continue
-                experiment_id = running.pop(slot)
+                kind, key, dispatched = running.pop(slot)
                 verdict = slot.collect(timeout)
+                if kind == "input":
+                    status, message = verdict.kind, ""
+                    if verdict.kind == "done":
+                        message, spans, counters = verdict.payload
+                        status = "error" if message else "done"
+                        _absorb(spans, counters)
+                    input_runs[key] = InputRun(
+                        *key, status, time.monotonic() - dispatched, message
+                    )
+                    for keys in waiting.values():
+                        keys.discard(key)
+                    continue
+                experiment_id = key
                 attempt = attempts[experiment_id]
                 if verdict.kind == "done":
                     record(verdict.payload)
@@ -326,6 +471,7 @@ def _run_on_slots(
     finally:
         for slot in slots:
             slot.close()
+    return [input_runs[key] for key in inputs]
 
 
 def run_suite(
@@ -343,8 +489,12 @@ def run_suite(
     """Run experiments (default: all registered) against ``dataset``.
 
     ``jobs`` caps worker processes (default ``os.cpu_count()``); 1 runs
-    everything in-process.  The worker count never exceeds the number
-    of experiments.  ``timeout`` bounds each experiment's wall time
+    everything in-process.  With ``jobs > 1`` the input syntheses the
+    pending experiments declare (``register(..., inputs=...)``) and
+    the cache lacks run first, as input jobs on the same workers (see
+    :func:`_run_on_slots`), and the worker count never exceeds the
+    number of pending experiments plus input jobs.  ``timeout`` bounds
+    each experiment's, and each input job's, wall time
     (``None`` = unlimited); ``retries``/``backoff`` govern re-dispatch
     after worker deaths (see :func:`_run_on_slots`).  ``completed``
     supplies already-journaled outcomes to replay instead of re-running
@@ -388,30 +538,31 @@ def run_suite(
         if outcome.experiment_id in done:
             return
         done[outcome.experiment_id] = outcome
-        if outcome.spans or outcome.counters:
-            recorder = _obs.active()
-            if recorder is not None:
-                recorder.absorb(outcome.spans, dict(outcome.counters))
+        _absorb(outcome.spans, outcome.counters)
         if on_outcome is not None:
             on_outcome(outcome)
 
     pending = [eid for eid in ids if eid not in done]
     started = time.perf_counter()
     interrupted = False
+    input_runs: list[InputRun] = []
     try:
         if jobs == 1:
             for experiment_id in pending:
                 record(_run_one(experiment_id, dataset, timeout, trace=trace))
         elif pending:
-            _run_on_slots(
+            inputs, waiting = _plan_inputs(dataset, pending)
+            input_runs = _run_on_slots(
                 dataset,
                 pending,
-                jobs=min(jobs, len(pending)),
+                jobs=min(jobs, len(pending) + len(inputs)),
                 timeout=timeout,
                 retries=retries,
                 backoff=backoff,
                 record=record,
                 trace=trace,
+                inputs=inputs,
+                waiting=waiting,
             )
     except KeyboardInterrupt:
         interrupted = True
@@ -420,6 +571,7 @@ def run_suite(
         jobs=jobs,
         total_seconds=time.perf_counter() - started,
         interrupted=interrupted,
+        inputs=tuple(input_runs),
     )
 
 
@@ -429,6 +581,8 @@ def timing_lines(suite: SuiteResult) -> list[str]:
         f"suite: {len(suite.outcomes)} experiments in "
         f"{suite.total_seconds:.3f}s with {suite.jobs} job(s)"
     ]
+    for run in suite.inputs:
+        lines.append(f"input {run.backend}: {run.seconds:.3f}s  [{run.status}]")
     for outcome in suite.outcomes:
         # A process-scoped peak is the whole supervisor's high-water
         # mark, not this experiment's own footprint — label it so the

@@ -20,6 +20,7 @@ inherit, encoded as semicolon-separated clauses::
     kill_worker:e03:2      # kill attempts 1 and 2; attempt 3 survives
     hang:e05:60            # wedge e05 for 60s, immune to SIGALRM
     slow:e07:0.5           # sleep 0.5s before e07 runs
+    kill_worker:input-google   # SIGKILL the suite input job for google
 """
 
 from __future__ import annotations

@@ -95,6 +95,12 @@ def summarize_lines(trace: Trace, top: int = 20) -> list[str]:
                 "process start to main (interpreter start-up, imports)"
             )
             break
+    for record in trace.spans:
+        if record["name"] == "suite.input":
+            lines.append(
+                f"suite.input {record['attrs'].get('backend', '?')}: "
+                f"{float(record['seconds']):.4f} s (input synthesis on a worker)"
+            )
     rollups = rollup_spans(trace.spans)
     if rollups:
         lines.append("")

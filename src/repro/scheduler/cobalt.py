@@ -151,6 +151,10 @@ class CobaltScheduler:
             if time > horizon:
                 break
             if kind == "submit":
+                # Size the request once, here: the scan below reads it
+                # from the allocator's cache, and an oversize request
+                # raises AllocationError at its submission.
+                allocator.block_midplanes_for(payload.requested_nodes)  # type: ignore[union-attr]
                 pending.append(payload)  # type: ignore[arg-type]
             else:  # "end"
                 job_id = payload  # type: ignore[assignment]
@@ -178,43 +182,51 @@ class CobaltScheduler:
     # ------------------------------------------------------------------
 
     def _schedule(self, now, pending, running, allocator, incidents, events, sequence):
+        sizes = allocator.block_size_cache
+        free = allocator.free_midplanes
         # Failure of an allocation of s midplanes implies failure for any
         # larger allowed size (aligned windows nest), so remember the
         # smallest size that failed this round and skip hopeless requests.
         failed_size = allocator.spec.n_midplanes + 1
         # FCFS phase: start queue-head jobs while they fit.
         while pending:
-            head_size = allocator.block_midplanes_for(pending[0].requested_nodes)
+            head_size = sizes[pending[0].requested_nodes]
             block = (
                 allocator.allocate(pending[0].requested_nodes)
-                if head_size <= allocator.free_midplanes
+                if head_size <= free
                 else None
             )
             if block is None:
                 failed_size = head_size
                 break
             intent = pending.pop(0)
+            free = allocator.free_midplanes
             sequence = self._start(
                 now, intent, block, running, incidents, events, sequence
             )
         if not pending:
             return sequence
-        # EASY backfill phase.
+        # EASY backfill phase.  No request is smaller than the smallest
+        # allowed block, so once fewer midplanes than that are free, or
+        # a request of that size has failed, no later candidate can
+        # start and the scan ends.
+        smallest = allocator.smallest_block_midplanes
         shadow = self._shadow_time(now, pending[0], running, allocator)
         depth = min(len(pending), 1 + self.params.backfill_depth)
         index = 1
-        while index < depth:
+        while index < depth and free >= smallest and failed_size > smallest:
             intent = pending[index]
-            size = allocator.block_midplanes_for(intent.requested_nodes)
+            size = sizes[intent.requested_nodes]
             if (
                 size < failed_size
-                and size <= allocator.free_midplanes
+                and size <= free
                 and now + intent.requested_walltime <= shadow
             ):
                 block = allocator.allocate(intent.requested_nodes)
                 if block is not None:
                     pending.pop(index)
                     depth -= 1
+                    free = allocator.free_midplanes
                     sequence = self._start(
                         now, intent, block, running, incidents, events, sequence
                     )

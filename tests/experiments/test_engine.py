@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.report import render_report
 from repro.dataset import MiraDataset
-from repro.experiments import run_suite
+from repro.experiments import SuiteResult, run_suite
 from repro.experiments.base import _REGISTRY, register
 from repro.experiments.engine import bench_record, timing_lines, write_bench_json
 from repro.faults import process_faults
@@ -270,3 +270,136 @@ class TestWorkerTrace:
             if span["name"] == "experiment"
         }
         assert experiments == {"e01", counting_experiment}
+
+
+def _arenas(cache_dir):
+    return sorted(p.name for p in cache_dir.glob("synth-*.arena"))
+
+
+class TestSuiteInputs:
+    """E22's comparison traces run as input jobs ahead of the suite."""
+
+    @pytest.fixture()
+    def cold_cache(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        return cache_dir
+
+    @pytest.fixture(scope="class")
+    def reference_e22(self, dataset, tmp_path_factory):
+        """E22 rendered in-process from a cold cache of its own."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("e22-ref")))
+            suite = run_suite(dataset, ["e22"], jobs=1)
+        assert suite.inputs == ()
+        return render_report(dataset, suite=suite)
+
+    def test_comparison_traces_are_the_inputs(self, dataset):
+        from repro.experiments.base import experiment_entry
+        from repro.experiments.e22_cross_system import comparison_traces
+
+        assert experiment_entry("e22")[3] is comparison_traces
+        # The dataset itself stands in for its own backend.
+        assert comparison_traces(dataset) == [
+            ("google", 5.0, 42), ("mistral", 5.0, 42), ("mlcluster", 5.0, 42)
+        ]
+
+    def test_cold_cache_synthesizes_each_backend_once(
+        self, dataset, cold_cache, reference_e22
+    ):
+        from repro.obs import trace
+
+        with trace.recording() as recorder:
+            suite = run_suite(dataset, ["e01", "e22"], jobs=2, trace=True)
+        assert [(r.backend, r.status) for r in suite.inputs] == [
+            ("google", "done"), ("mistral", "done"), ("mlcluster", "done")
+        ]
+        assert len(_arenas(cold_cache)) == 3
+        # Each backend's scheduler ran once, in its input job; e22 read
+        # all three from the cache.
+        inputs = [s for s in recorder.spans if s["name"] == "suite.input"]
+        assert sorted(s["attrs"]["backend"] for s in inputs) == [
+            "google", "mistral", "mlcluster"
+        ]
+        assert sum(s["name"] == "synth.scheduler" for s in recorder.spans) == 3
+        e22_counters = dict(suite.outcome("e22").counters)
+        assert e22_counters.get("cache.hit") == 3
+        assert "cache.miss" not in e22_counters
+        e22_only = SuiteResult(
+            outcomes=(suite.outcome("e22"),), jobs=1, total_seconds=0.0
+        )
+        assert render_report(dataset, suite=e22_only) == reference_e22
+        lines = timing_lines(suite)
+        assert [line.split(":")[0] for line in lines if line.startswith("input ")] == [
+            "input google", "input mistral", "input mlcluster"
+        ]
+
+    def test_parallel_report_is_byte_identical_to_sequential(
+        self, dataset, cold_cache, tmp_path, monkeypatch
+    ):
+        ids = ["e01", "e03", "e22"]
+        parallel = render_report(dataset, suite=run_suite(dataset, ids, jobs=2))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sequential-cache"))
+        sequential = render_report(dataset, suite=run_suite(dataset, ids, jobs=1))
+        assert parallel == sequential
+
+    def test_warm_cache_dispatches_no_input_job(self, dataset, cold_cache):
+        assert len(run_suite(dataset, ["e01", "e22"], jobs=2).inputs) == 3
+        warm = run_suite(dataset, ["e01", "e22"], jobs=2)
+        assert warm.inputs == ()
+        assert warm.outcome("e22").status == "ok"
+
+    def test_lost_input_still_yields_identical_e22(
+        self, dataset, cold_cache, reference_e22
+    ):
+        journaled = []
+        with process_faults("kill_worker:input-google"):
+            suite = run_suite(
+                dataset,
+                ["e01", "e22"],
+                jobs=2,
+                backoff=0.01,
+                on_outcome=journaled.append,
+            )
+        statuses = {r.backend: r.status for r in suite.inputs}
+        assert statuses == {
+            "google": "crashed", "mistral": "done", "mlcluster": "done"
+        }
+        assert sorted(o.experiment_id for o in journaled) == ["e01", "e22"]
+        assert suite.outcome("e22").attempt == 1
+        e22_only = SuiteResult(
+            outcomes=(suite.outcome("e22"),), jobs=1, total_seconds=0.0
+        )
+        assert render_report(dataset, suite=e22_only) == reference_e22
+        # E22 synthesized the lost google trace itself.
+        assert len(_arenas(cold_cache)) == 3
+
+    def test_subset_without_e22_dispatches_nothing(self, dataset, cold_cache):
+        suite = run_suite(dataset, ["e01", "e02"], jobs=2)
+        assert suite.inputs == ()
+        assert _arenas(cold_cache) == []
+
+    def test_resume_with_e22_done_dispatches_nothing(
+        self, dataset, cold_cache, reference_e22
+    ):
+        first = run_suite(dataset, ["e22"], jobs=1)
+        for path in cold_cache.glob("synth-*.arena"):
+            path.unlink()
+        resumed = run_suite(
+            dataset,
+            ["e01", "e22"],
+            jobs=2,
+            completed={"e22": first.outcome("e22")},
+        )
+        assert resumed.inputs == ()
+        assert _arenas(cold_cache) == []
+
+    def test_one_job_or_degraded_e22_dispatches_nothing(self, dataset, cold_cache):
+        from dataclasses import replace
+
+        from repro.experiments.engine import _plan_inputs
+
+        assert run_suite(dataset, ["e01", "e22"], jobs=1).inputs == ()
+        no_ras = replace(dataset, ras=dataset.ras.filter(dataset.ras["timestamp"] < 0))
+        assert _plan_inputs(no_ras, ["e22"]) == ([], {})
+        assert _plan_inputs(dataset, ["e01", "nope"]) == ([], {})

@@ -15,13 +15,16 @@ from repro.obs.schema import validate_file
 def traced_run(tmp_path_factory):
     """One traced report run (worker pool), shared by the read-only tests."""
     runs_root = tmp_path_factory.mktemp("runs")
-    rc = main_report(
-        [
-            "--days", "6", "--seed", "7", "--jobs", "2",
-            "--run-id", "traced", "--no-cache", "--trace",
-            "--run-dir", str(runs_root),
-        ]
-    )
+    # A cold cache of its own, so e22's comparison traces run as input jobs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        rc = main_report(
+            [
+                "--days", "6", "--seed", "7", "--jobs", "2",
+                "--run-id", "traced", "--no-cache", "--trace",
+                "--run-dir", str(runs_root),
+            ]
+        )
     assert rc == 0
     return runs_root
 
@@ -86,6 +89,21 @@ class TestReportTrace:
             if s["pid"] == first["pid"]
         )
 
+    def test_input_jobs_ship_their_spans(self, traced_run):
+        records = validate_file(traced_run / "traced" / "trace.jsonl")
+        spans = {r["id"]: r for r in records if r["kind"] == "span"}
+        inputs = [s for s in spans.values() if s["name"] == "suite.input"]
+        assert sorted(s["attrs"]["backend"] for s in inputs) == [
+            "google", "mistral", "mlcluster"
+        ]
+        supervisor = next(iter(spans.values()))["pid"]
+        for root in inputs:
+            assert root["parent"] is None and root["pid"] != supervisor
+            children = {s["name"] for s in spans.values() if s["parent"] == root["id"]}
+            assert "dataset.synthesize" in children
+        report = (traced_run / "traced" / "report.txt").read_text()
+        assert "input google: " in report.split("== TIMINGS ==")[1]
+
     def test_trace_implies_timings_section(self, traced_run):
         report = (traced_run / "traced" / "report.txt").read_text()
         assert "TIMINGS" in report
@@ -140,6 +158,7 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "span" in out and "self s" in out
         assert "experiment" in out
+        assert "suite.input google: " in out
         if sys.platform.startswith("linux"):
             assert "process.start" in out  # shown whatever its rank
 
